@@ -57,11 +57,9 @@ race:
 # QPS, p50/p95/p99, server-side metrics, batched vs single throughput).
 # -methods all additionally sweeps every registered estimator in-process,
 # adding the accuracy×latency matrix (q-error vs exact counts, per-method
-# throughput, ensemble divergence counts) to the report. -replicas adds
-# the 1→N shard-replica scaling matrix (capacity-bounded replicas, one
-# per shard, driven round-robin; linear_fraction ≈ 1.0 is perfect fleet
-# scaling) and -tenants drives the workload through the multi-tenant
-# /v1/t routes. -backends reloads the summary through both snapshot
+# throughput, ensemble divergence counts) to the report. -tenants drives
+# the workload round-robin through the multi-tenant /v1/t routes.
+# -backends reloads the summary through both snapshot
 # forms (frozen TLAT, compressed TLCZ) and adds the size×throughput
 # comparison. -ingest runs a mixed read/write pass — readers estimating
 # while a writer streams documents through the zero-downtime ingest
@@ -74,7 +72,7 @@ race:
 bench:
 	$(GO) run ./cmd/treelattice loadbench -gen xmark -scale 20000 \
 		-duration 3s -warmup 500ms -seed 1 -batch 32 -methods all \
-		-replicas 1,2,4 -tenants 2 -backends -ingest -query \
+		-tenants 2 -backends -ingest -query \
 		-out BENCH_serve.json
 
 # benchcore is the build/estimate-path counterpart of `make bench`: it

@@ -245,7 +245,7 @@ func registerResilienceFlags(fs *flag.FlagSet, r *serve.ResilienceOptions) {
 	fs.DurationVar(&r.QueryBudget, "query-budget", 0, "deadline for /v1/query twig executions (0 = none)")
 	fs.Int64Var(&r.QueryNodeBudget, "query-node-budget", 0, "max candidate nodes one /v1/query execution may visit; exhaustion returns a partial count marked degraded (0 = unlimited)")
 	fs.BoolVar(&r.DisableFallback, "no-degrade", false, "return 504 instead of degrading estimates to a cheaper method on blown budgets")
-	fs.IntVar(&r.TenantQuota, "tenant-quota", 0, "max concurrent estimates per tenant on the /v1/t routes; excess sheds with 429 (0 = unlimited)")
+	fs.IntVar(&r.TenantQuota, "tenant-quota", 0, "max concurrent estimates and queries per tenant, the default tenant's legacy routes included; excess sheds with 429 (0 = unlimited)")
 	fs.DurationVar(&r.ShardTimeout, "shard-timeout", 0, "per-shard responsiveness deadline on sharded tenants; a shard missing it is excluded and the answer degrades (0 = request deadline only)")
 }
 
@@ -284,6 +284,7 @@ func runServe(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	c.SetWorkers(*workers)
 	if *ingest {
 		err := c.EnableIngest(corpus.IngestOptions{
 			RefreezeInterval: *refreezeInterval,
@@ -308,7 +309,7 @@ func runServe(args []string, stdout io.Writer) error {
 			}
 		}()
 	}
-	sopts := serve.Options{Workers: *workers, Resilience: res}
+	sopts := serve.Options{Resilience: res}
 	if *fleetRoot != "" {
 		sopts.Fleet = fleet.NewRegistry(fleet.RegistryOptions{
 			Root:             *fleetRoot,

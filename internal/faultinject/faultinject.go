@@ -161,7 +161,6 @@ type CorpusBackend interface {
 	Summary() *core.Summary
 	Docs() []string
 	Workers() int
-	SetWorkers(n int)
 	BuildTimings() *metrics.BuildTimings
 	ExactCountContext(ctx context.Context, q labeltree.Pattern) (int64, error)
 	AddXMLContext(ctx context.Context, name string, r io.Reader) error
@@ -172,41 +171,26 @@ type CorpusBackend interface {
 
 // Corpus wraps a corpus backend with the injector on its expensive
 // operations: exact counting (the Definition-1 scan /v1/exact runs),
-// document ingestion, and removal. Cheap accessors pass through
-// untouched.
+// document ingestion, and removal. The embedded backend answers the
+// cheap accessors untouched.
 type Corpus struct {
-	inner CorpusBackend
-	inj   *Injector
+	CorpusBackend
+	inj *Injector
 }
 
 var _ CorpusBackend = (*Corpus)(nil)
 
 // WrapCorpus wraps inner with inj.
 func WrapCorpus(inner CorpusBackend, inj *Injector) *Corpus {
-	return &Corpus{inner: inner, inj: inj}
+	return &Corpus{CorpusBackend: inner, inj: inj}
 }
-
-// Summary passes through.
-func (c *Corpus) Summary() *core.Summary { return c.inner.Summary() }
-
-// Docs passes through.
-func (c *Corpus) Docs() []string { return c.inner.Docs() }
-
-// Workers passes through.
-func (c *Corpus) Workers() int { return c.inner.Workers() }
-
-// SetWorkers passes through.
-func (c *Corpus) SetWorkers(n int) { c.inner.SetWorkers(n) }
-
-// BuildTimings passes through.
-func (c *Corpus) BuildTimings() *metrics.BuildTimings { return c.inner.BuildTimings() }
 
 // ExactCountContext injects before delegating.
 func (c *Corpus) ExactCountContext(ctx context.Context, q labeltree.Pattern) (int64, error) {
 	if err := c.inj.Op(ctx); err != nil {
 		return 0, err
 	}
-	return c.inner.ExactCountContext(ctx, q)
+	return c.CorpusBackend.ExactCountContext(ctx, q)
 }
 
 // AddXMLContext injects before delegating.
@@ -214,7 +198,7 @@ func (c *Corpus) AddXMLContext(ctx context.Context, name string, r io.Reader) er
 	if err := c.inj.Op(ctx); err != nil {
 		return err
 	}
-	return c.inner.AddXMLContext(ctx, name, r)
+	return c.CorpusBackend.AddXMLContext(ctx, name, r)
 }
 
 // Remove injects before delegating.
@@ -222,11 +206,5 @@ func (c *Corpus) Remove(name string) error {
 	if err := c.inj.Op(nil); err != nil {
 		return err
 	}
-	return c.inner.Remove(name)
+	return c.CorpusBackend.Remove(name)
 }
-
-// Ingesting passes through.
-func (c *Corpus) Ingesting() bool { return c.inner.Ingesting() }
-
-// IngestStats passes through.
-func (c *Corpus) IngestStats() core.IngestStats { return c.inner.IngestStats() }

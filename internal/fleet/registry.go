@@ -17,16 +17,15 @@ var ErrUnknownTenant = errors.New("fleet: unknown tenant")
 // RegistryOptions configures a tenant registry.
 type RegistryOptions struct {
 	// Root is the directory holding one subdirectory per tenant (see
-	// LoadTenant for the layout). Empty means no disk-backed tenants:
-	// only Install'ed ones resolve.
+	// LoadTenant for the layout). Empty means no tenant resolves.
 	Root string
-	// MaxResident bounds how many disk-loaded tenants stay resident at
-	// once (default 8). Install'ed tenants are pinned and do not count.
-	// Evicting a tenant drops the registry's reference; summaries are
-	// immutable, so estimates already holding one are unaffected.
+	// MaxResident bounds how many tenants stay resident at once
+	// (default 8). Evicting a tenant drops the registry's reference;
+	// summaries are immutable, so estimates already holding one are
+	// unaffected.
 	MaxResident int
 	// MaxResidentBytes additionally bounds the summed ResidentBytes of
-	// disk-loaded tenants (0 = no byte budget). When a load pushes the
+	// resident tenants (0 = no byte budget). When a load pushes the
 	// total past the budget, least-recently-used tenants are evicted
 	// until it fits — except the newest load itself, which always stays:
 	// a single tenant larger than the budget still serves, it just
@@ -37,7 +36,7 @@ type RegistryOptions struct {
 }
 
 // Registry resolves tenant names to resident tenants, loading frozen
-// snapshots lazily and keeping an LRU of resident disk-loaded tenants.
+// snapshots lazily and keeping an LRU of resident tenants.
 // Loads are single-flight: concurrent Acquires of a cold tenant share
 // one load.
 type Registry struct {
@@ -45,22 +44,21 @@ type Registry struct {
 
 	mu       sync.Mutex
 	resident map[string]*slot
-	lru      *list.List // unpinned loaded slots, front = most recent
+	lru      *list.List // loaded slots, front = most recent
 	gens     map[string]uint64
 
 	loads      int64
 	evictions  int64
 	reloads    int64
-	totalBytes int64 // summed bytes of lru-listed (unpinned, loaded) slots
+	totalBytes int64 // summed bytes of lru-listed (loaded) slots
 }
 
 // slot tracks one tenant through loading and residence. ready closes
 // when the load completes; elem is the slot's LRU position (nil while
-// loading or pinned); bytes is the tenant's resident footprint,
-// recorded at load so eviction accounting needs no re-measuring.
+// loading); bytes is the tenant's resident footprint, recorded at load
+// so eviction accounting needs no re-measuring.
 type slot struct {
 	name   string
-	pinned bool
 	ready  chan struct{}
 	tenant *Tenant
 	err    error
@@ -79,30 +77,6 @@ func NewRegistry(opts RegistryOptions) *Registry {
 		lru:      list.New(),
 		gens:     make(map[string]uint64),
 	}
-}
-
-// Install pins a preloaded tenant into the registry — the path by which
-// the default tenant (the live corpus behind the legacy routes) becomes
-// addressable by name. Pinned tenants never age out of the LRU. The
-// tenant's name must validate.
-func (r *Registry) Install(t *Tenant) error {
-	if err := ValidateName(t.Name); err != nil {
-		return err
-	}
-	ready := make(chan struct{})
-	close(ready)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if old, ok := r.resident[t.Name]; ok && old.elem != nil {
-		r.lru.Remove(old.elem)
-		r.totalBytes -= old.bytes
-	}
-	r.resident[t.Name] = &slot{
-		name: t.Name, pinned: true, ready: ready, tenant: t,
-		bytes: int64(t.ResidentBytes()),
-	}
-	r.gens[t.Name]++
-	return nil
 }
 
 // Acquire resolves name to a resident tenant, loading its snapshots on
@@ -178,10 +152,6 @@ func (r *Registry) Reload(ctx context.Context, name string) (*Tenant, error) {
 	for {
 		r.mu.Lock()
 		s, ok := r.resident[name]
-		if ok && s.pinned {
-			r.mu.Unlock()
-			return nil, fmt.Errorf("fleet: tenant %q is pinned, cannot reload", name)
-		}
 		r.mu.Unlock()
 		if !ok {
 			break
@@ -209,15 +179,9 @@ func (r *Registry) Reload(ctx context.Context, name string) (*Tenant, error) {
 	close(ready)
 	s := &slot{name: name, ready: ready, tenant: t, bytes: int64(t.ResidentBytes())}
 	r.mu.Lock()
-	if old, ok := r.resident[name]; ok {
-		if old.pinned {
-			r.mu.Unlock()
-			return nil, fmt.Errorf("fleet: tenant %q is pinned, cannot reload", name)
-		}
-		if old.elem != nil {
-			r.lru.Remove(old.elem)
-			r.totalBytes -= old.bytes
-		}
+	if old, ok := r.resident[name]; ok && old.elem != nil {
+		r.lru.Remove(old.elem)
+		r.totalBytes -= old.bytes
 	}
 	r.resident[name] = s
 	r.totalBytes += s.bytes
@@ -231,8 +195,7 @@ func (r *Registry) Reload(ctx context.Context, name string) (*Tenant, error) {
 	return t, nil
 }
 
-// Generation reports how many times name has been installed, loaded, or
-// reloaded — the cache-scope discriminator for non-epoch tenants, and
+// Generation reports how many times name has been loaded or reloaded — the cache-scope discriminator for non-epoch tenants, and
 // the operator's way to confirm a reload took effect. Zero means never
 // loaded. Generations survive eviction: a tenant that ages out and
 // loads again continues its count.
@@ -246,7 +209,7 @@ func (r *Registry) tenantDir(name string) string {
 	return filepath.Join(r.opts.Root, name)
 }
 
-// evictLocked drops least-recently-used unpinned tenants while the
+// evictLocked drops least-recently-used tenants while the
 // count exceeds MaxResident or the summed resident bytes exceed
 // MaxResidentBytes — but never the sole remaining one, so an oversized
 // tenant still serves. Caller holds r.mu.
@@ -288,23 +251,6 @@ func (r *Registry) Peek(name string) (*Tenant, bool) {
 	}
 }
 
-// Loaded reports whether name is resident and loaded (not mid-load) —
-// the readiness probe's question about the default tenant.
-func (r *Registry) Loaded(name string) bool {
-	r.mu.Lock()
-	s, ok := r.resident[name]
-	r.mu.Unlock()
-	if !ok {
-		return false
-	}
-	select {
-	case <-s.ready:
-		return s.err == nil
-	default:
-		return false
-	}
-}
-
 // Resident lists the resident tenant names, sorted.
 func (r *Registry) Resident() []string {
 	r.mu.Lock()
@@ -318,12 +264,10 @@ func (r *Registry) Resident() []string {
 }
 
 // RegistryStats is the registry's /v1/stats section. ResidentBytes
-// sums the footprint of every loaded tenant, pinned included;
-// MaxResidentBytes echoes the configured budget (0 = unlimited), which
-// meters only the unpinned, disk-loaded portion.
+// sums the footprint of every loaded tenant; MaxResidentBytes echoes the
+// configured budget (0 = unlimited).
 type RegistryStats struct {
 	Resident         int   `json:"resident"`
-	Pinned           int   `json:"pinned"`
 	Loads            int64 `json:"loads"`
 	Evictions        int64 `json:"evictions"`
 	Reloads          int64 `json:"reloads"`
@@ -340,9 +284,6 @@ func (r *Registry) Stats() RegistryStats {
 		Reloads: r.reloads, MaxResidentBytes: r.opts.MaxResidentBytes,
 	}
 	for _, s := range r.resident {
-		if s.pinned {
-			st.Pinned++
-		}
 		st.ResidentBytes += s.bytes
 	}
 	return st

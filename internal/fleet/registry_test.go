@@ -73,18 +73,12 @@ func TestLoadTenantSharded(t *testing.T) {
 	}
 }
 
-func TestRegistryLoadEvictPin(t *testing.T) {
+func TestRegistryLoadEvict(t *testing.T) {
 	root := t.TempDir()
 	for i := 0; i < 5; i++ {
 		writeTenantDir(t, root, fmt.Sprintf("t%d", i), int64(i), 1)
 	}
 	r := fleet.NewRegistry(fleet.RegistryOptions{Root: root, MaxResident: 2})
-
-	// A pinned install never ages out.
-	def := fleet.NewTenant("default", mustSummary(t, 99))
-	if err := r.Install(def); err != nil {
-		t.Fatal(err)
-	}
 
 	ctx := context.Background()
 	for i := 0; i < 5; i++ {
@@ -101,11 +95,8 @@ func TestRegistryLoadEvictPin(t *testing.T) {
 	if st.Loads != 5 || st.Evictions != 3 {
 		t.Fatalf("want 5 loads, 3 evictions, got %+v", st)
 	}
-	if st.Resident != 3 || st.Pinned != 1 { // 2 LRU slots + pinned default
-		t.Fatalf("want 3 resident (1 pinned), got %+v", st)
-	}
-	if !r.Loaded("default") {
-		t.Fatal("pinned default evicted")
+	if st.Resident != 2 {
+		t.Fatalf("want 2 resident, got %+v", st)
 	}
 	// Re-acquiring an evicted tenant reloads it.
 	if _, err := r.Acquire(ctx, "t0"); err != nil {
@@ -121,7 +112,7 @@ func TestRegistryLoadEvictPin(t *testing.T) {
 	if _, err := r.Acquire(ctx, "../escape"); !errors.Is(err, fleet.ErrBadName) {
 		t.Fatalf("want ErrBadName, got %v", err)
 	}
-	if r.Loaded("nosuch") {
+	if _, ok := r.Peek("nosuch"); ok {
 		t.Fatal("failed load left a resident slot")
 	}
 }
@@ -270,19 +261,9 @@ func TestRegistryByteBudget(t *testing.T) {
 	if st := r2.Stats(); st.Resident != 2 || st.Evictions != 1 {
 		t.Fatalf("two-tenant budget: %+v", st)
 	}
-	if r2.Loaded("t0") {
+	if _, ok := r2.Peek("t0"); ok {
 		t.Fatal("LRU tenant t0 survived the byte budget")
 	}
-}
-
-func mustSummary(t *testing.T, seed int64) *core.Summary {
-	t.Helper()
-	_, trees, _ := testCorpus(t, seed, 4, 12)
-	sum, err := core.BuildForestContext(context.Background(), trees, core.BuildOptions{K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sum
 }
 
 // TestRegistryConcurrent hammers a small-LRU registry with concurrent
@@ -333,7 +314,7 @@ func TestRegistryConcurrent(t *testing.T) {
 // TestRegistryReload: Reload swaps in freshly loaded snapshots without
 // evicting the serving copy — the old tenant keeps answering for
 // requests already holding it, the generation advances so epoch-less
-// cache scopes roll over, and pinned installs refuse to be reloaded.
+// cache scopes roll over, and unknown tenants refuse to be reloaded.
 func TestRegistryReload(t *testing.T) {
 	root := t.TempDir()
 	writeTenantDir(t, root, "acme", 7, 1)
@@ -382,13 +363,6 @@ func TestRegistryReload(t *testing.T) {
 		t.Fatal("Acquire after reload did not return the fresh tenant")
 	}
 
-	// Pinned tenants are operator-installed, not snapshot-backed.
-	if err := r.Install(fleet.NewTenant("default", mustSummary(t, 99))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Reload(ctx, "default"); err == nil {
-		t.Fatal("reloading a pinned tenant should fail")
-	}
 	if _, err := r.Reload(ctx, "nosuch"); !errors.Is(err, fleet.ErrUnknownTenant) {
 		t.Fatalf("want ErrUnknownTenant, got %v", err)
 	}

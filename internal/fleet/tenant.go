@@ -44,8 +44,7 @@ func (t *Tenant) Estimate(ctx context.Context, q labeltree.Pattern, method core.
 }
 
 // NewTenant wraps an in-memory summary as an unsharded tenant — the path
-// by which a live corpus (the legacy single-tenant routes) joins the
-// registry.
+// by which a server's live corpus answers as its default tenant.
 func NewTenant(name string, sum *core.Summary) *Tenant {
 	return &Tenant{Name: name, Summary: sum, Shards: 1}
 }

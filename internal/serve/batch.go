@@ -110,10 +110,9 @@ func (h *Handler) estimateBatch(w http.ResponseWriter, r *http.Request) {
 		method = core.Method(req.Method)
 	}
 
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	sum := h.c.Summary()
-	scope := scopeFor("", sum)
+	sum, release := h.pinDefault()
+	defer release()
+	scope := h.scopeFor(DefaultTenant, sum)
 	if _, err := sum.LookupMethod(method); err != nil {
 		writeCoreError(w, err)
 		return

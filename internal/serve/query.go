@@ -25,8 +25,8 @@ const DefaultQueryLimit = 100
 // carries them unchanged.
 var calibrationBounds = []float64{0.0625, 0.125, 0.25, 0.5, 1, 2, 4, 8, 16}
 
-// queryParams is one /v1/query request's decoded parameters, shared by
-// the default-tenant and tenant-scoped handlers and both verbs.
+// queryParams is one /v1/query request's decoded parameters, for both
+// verbs.
 type queryParams struct {
 	qs        string
 	method    core.Method
@@ -125,8 +125,8 @@ type queryResponse struct {
 }
 
 // runQuery parses and executes one twig query against sum, recording
-// the execution and calibration metrics. The caller holds whatever lock
-// pins sum and has already validated the method.
+// the execution and calibration metrics. The caller has pinned sum and
+// validated the method.
 func (h *Handler) runQuery(r *http.Request, sum *core.Summary, p queryParams) (*queryResponse, error) {
 	q, err := sum.ParseTwigQuery(p.qs)
 	if err != nil {
@@ -164,9 +164,18 @@ func (h *Handler) runQuery(r *http.Request, sum *core.Summary, p queryParams) (*
 	}, nil
 }
 
-// query serves GET/POST /v1/query: planner-driven twig query execution
-// against the default tenant's documents.
-func (h *Handler) query(w http.ResponseWriter, r *http.Request) {
+// query serves GET/POST /v1/query (as the default tenant) and
+// /v1/t/{tenant}/query: planner-driven twig query execution against the
+// tenant's documents. Tenants loaded from frozen snapshots carry no
+// documents and answer 409 no_documents — they estimate, the corpus
+// owner executes.
+func (h *Handler) query(w http.ResponseWriter, r *http.Request, name string, echo bool) {
+	tn, release, err := h.pin(r.Context(), name)
+	if err != nil {
+		writeCoreError(w, err)
+		return
+	}
+	defer release()
 	p, err := parseQueryParams(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_query", err.Error())
@@ -176,79 +185,31 @@ func (h *Handler) query(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_query", "missing q parameter")
 		return
 	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	sum := h.c.Summary()
 	// Validate a requested planning method up front, like /v1/estimate:
 	// a bogus method should 400 even when the query would not parse.
-	if !p.naive && p.method != "" {
-		if _, err := sum.LookupMethod(p.method); err != nil {
-			writeCoreError(w, err)
-			return
-		}
-	}
-	resp, err := h.runQuery(r, sum, p)
-	if errors.Is(err, core.ErrUnknownLabel) {
-		// A label no document carries cannot match: zero matches, no scan.
-		writeJSON(w, queryResponse{Query: p.qs, Plan: []int32{}})
-		return
-	}
-	if err != nil {
-		h.coreError(w, err)
-		return
-	}
-	writeJSON(w, resp)
-}
-
-// tenantQuery serves GET/POST /v1/t/{tenant}/query: the multi-tenant
-// twin of /v1/query, behind the per-tenant admission quota. Tenants
-// loaded from frozen snapshots carry no documents and answer 409
-// no_documents — they estimate, the corpus owner executes.
-func (h *Handler) tenantQuery(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("tenant")
-	tn, err := h.tenantFor(r.Context(), name)
-	if err != nil {
-		writeFleetError(w, err)
-		return
-	}
-	p, err := parseQueryParams(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_query", err.Error())
-		return
-	}
-	if p.qs == "" {
-		writeError(w, http.StatusBadRequest, "bad_query", "missing q parameter")
-		return
-	}
 	if !p.naive && p.method != "" {
 		if _, err := tn.Summary.LookupMethod(p.method); err != nil {
 			writeCoreError(w, err)
 			return
 		}
 	}
-	tm := h.tenantMetricsFor(name)
-	if !h.quota.Acquire(name) {
-		tm.shed.Inc()
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "shed",
-			"tenant over its admission quota; retry later")
+	if !h.admit(w, name) {
 		return
 	}
 	defer h.quota.Release(name)
-	tm.requests.Inc()
 
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	resp, err := h.runQuery(r, tn.Summary, p)
 	if errors.Is(err, core.ErrUnknownLabel) {
-		writeJSON(w, queryResponse{Tenant: name, Query: p.qs, Plan: []int32{}})
-		return
+		// A label no document carries cannot match: zero matches, no scan.
+		resp, err = &queryResponse{Query: p.qs, Plan: []int32{}}, nil
 	}
 	if err != nil {
 		h.coreError(w, err)
 		return
 	}
-	resp.Tenant = name
+	if echo {
+		resp.Tenant = name
+	}
 	writeJSON(w, resp)
 }
 

@@ -3,11 +3,11 @@
 //
 // Endpoints (JSON unless noted):
 //
-//	GET    /v1/estimate?q=<twig>&method=<name>  estimated selectivity
+//	GET    /v1/estimate?q=<twig>&method=<name>  estimated selectivity (default tenant)
 //	POST   /v1/estimate/batch                   many estimates in one call
 //	GET    /v1/methods                          registered estimators + capabilities
 //	GET    /v1/exact?q=<twig>                   exact count (scans documents)
-//	GET    /v1/query?q=<twig>&limit=<n>         execute a twig query, return matches
+//	GET    /v1/query?q=<twig>&limit=<n>         execute a twig query (default tenant)
 //	POST   /v1/query                            same, JSON body {"q": ..., "limit": ...}
 //	GET    /v1/explain?q=<twig>                 estimate + trace + spread interval
 //	GET    /v1/stats                            summary and corpus statistics
@@ -21,17 +21,23 @@
 //	GET    /v1/healthz                          liveness probe
 //	GET    /v1/readyz                           readiness probe (503 when not ready)
 //
-// Multi-tenant serving (see internal/fleet): Options.Fleet supplies a
-// registry of named tenants loaded lazily from frozen snapshots; the
-// legacy routes answer as the default tenant. A sharded tenant scatters
-// each estimate across its shard summaries and gathers one combined
-// answer — bit-identical to a single merged summary when every shard
-// answers, and a degraded partial answer (shards_answered <
-// shards_total) when one misses its deadline. Tenant routes sit behind
-// per-tenant admission quotas (Resilience.TenantQuota); the whole-query
-// cache is scoped by (tenant, epoch), so tenants never share entries
-// and POST /v1/t/{tenant}/reload (or an ingest epoch swap) invalidates
-// only the affected scope.
+// Every request is a tenant request. The corpus is the tenant named
+// DefaultTenant ("default"), and the legacy routes are that tenant's
+// routes: /v1/estimate and /v1/t/default/estimate (likewise /v1/query)
+// run one handler and answer byte-identically, except that only the
+// tenant route echoes "tenant". Options.Fleet supplies a registry of
+// named tenants loaded lazily from frozen snapshots (see
+// internal/fleet). A sharded tenant scatters each estimate across its
+// shard summaries and gathers one combined answer — bit-identical to a
+// single merged summary when every shard answers, and a degraded partial
+// answer (shards_answered < shards_total) when one misses its deadline.
+// Estimates and queries of every tenant, the default one included, sit
+// behind per-tenant admission quotas (Resilience.TenantQuota). The
+// whole-query cache has one scope per tenant name, discriminated by
+// ingest epoch or registry generation, so tenants never share entries;
+// a document upload or removal drops the default tenant's scope, and
+// POST /v1/t/{tenant}/reload (or an ingest epoch swap) invalidates only
+// the affected tenant.
 //
 // Queries use the twig syntax ("a(b,c(d))"). Estimation methods resolve
 // through the core registry (GET /v1/methods lists them): the paper's
@@ -93,6 +99,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -117,7 +124,6 @@ type Backend interface {
 	Summary() *core.Summary
 	Docs() []string
 	Workers() int
-	SetWorkers(n int)
 	BuildTimings() *metrics.BuildTimings
 	ExactCountContext(ctx context.Context, q labeltree.Pattern) (int64, error)
 	AddXMLContext(ctx context.Context, name string, r io.Reader) error
@@ -172,10 +178,11 @@ type ResilienceOptions struct {
 	// blows its budget returns 504 instead of falling back to a cheaper
 	// method.
 	DisableFallback bool
-	// TenantQuota bounds concurrent in-flight estimates per tenant on
-	// the tenant routes, on top of the global admission limit: the
-	// limiter decides whether the server has capacity, the quota decides
-	// whether one tenant may monopolize it. Zero disables quotas.
+	// TenantQuota bounds concurrent in-flight estimates and queries per
+	// tenant (the default tenant's legacy routes included), on top of the
+	// global admission limit: the limiter decides whether the server has
+	// capacity, the quota decides whether one tenant may monopolize it.
+	// Zero disables quotas.
 	TenantQuota int
 	// ShardTimeout bounds each shard's responsiveness probe on sharded
 	// tenants; a shard that misses it is excluded from that estimate and
@@ -186,8 +193,6 @@ type ResilienceOptions struct {
 
 // Options configures the handler.
 type Options struct {
-	// Workers bounds the parallelism of upload mining (0 = GOMAXPROCS).
-	Workers int
 	// MaxDocumentBytes overrides the upload size limit (0 = the
 	// MaxDocumentBytes constant).
 	MaxDocumentBytes int64
@@ -203,16 +208,14 @@ type Options struct {
 	// registry loads tenants lazily from frozen snapshots and keeps an
 	// LRU of resident ones.
 	Fleet *fleet.Registry
-	// DefaultTenant names the live corpus on the tenant routes — the
-	// legacy routes and /v1/t/<DefaultTenant>/estimate answer from the
-	// same summary. Empty means DefaultTenant ("default").
-	DefaultTenant string
 	// Logf receives panic-recovery log lines; nil means no logging.
 	Logf func(format string, args ...any)
 }
 
-// Handler serves a corpus. Reads take the read lock; document mutations
-// serialize on the write lock and invalidate the estimate cache.
+// Handler serves a corpus as the default tenant, plus the fleet's named
+// tenants. Default-tenant reads hold the read lock (see pin); classic
+// document mutations serialize on the write lock and invalidate the
+// default tenant's cache scope.
 type Handler struct {
 	mu       sync.RWMutex
 	c        Backend
@@ -221,11 +224,11 @@ type Handler struct {
 	maxBytes int64
 	res      ResilienceOptions
 
-	flt           *fleet.Registry
-	defaultTenant string
-	quota         *resilience.QuotaSet
-	tenantMu      sync.Mutex
-	tenantStats   map[string]*tenantMetrics
+	flt            *fleet.Registry
+	quota          *resilience.QuotaSet
+	defaultMetrics *tenantMetrics
+	tenantMu       sync.Mutex
+	tenantStats    map[string]*tenantMetrics // named tenants the fleet resolved
 
 	reg               *obs.Registry
 	inFlight          *obs.Gauge
@@ -254,35 +257,28 @@ func NewHandler(c Backend) *Handler {
 
 // NewHandlerOptions wraps a corpus.
 func NewHandlerOptions(c Backend, opts Options) *Handler {
-	if opts.Workers > 0 {
-		c.SetWorkers(opts.Workers)
-	}
 	reg := opts.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	defTenant := opts.DefaultTenant
-	if defTenant == "" {
-		defTenant = DefaultTenant
-	}
 	h := &Handler{
-		c:             c,
-		cache:         qcache.New(4096),
-		maxBytes:      opts.MaxDocumentBytes,
-		res:           opts.Resilience,
-		flt:           opts.Fleet,
-		defaultTenant: defTenant,
-		quota:         resilience.NewQuotaSet(opts.Resilience.TenantQuota),
-		tenantStats:   make(map[string]*tenantMetrics),
-		reg:           reg,
-		inFlight:      reg.Gauge("http.in_flight"),
-		epochG:        reg.Gauge("ingest.epoch"),
-		deltaDocsG:    reg.Gauge("ingest.delta_docs"),
-		deltaBytesG:   reg.Gauge("ingest.delta_bytes"),
-		routes:        make(map[string]*routeMetrics),
-		panics:        reg.Counter("http.panics"),
-		degraded:      reg.Counter("estimate.degraded"),
-		timeouts:      reg.Counter("http.deadline_exceeded"),
+		c:              c,
+		cache:          qcache.New(4096),
+		maxBytes:       opts.MaxDocumentBytes,
+		res:            opts.Resilience,
+		flt:            opts.Fleet,
+		quota:          resilience.NewQuotaSet(opts.Resilience.TenantQuota),
+		defaultMetrics: newTenantMetrics(reg, DefaultTenant),
+		tenantStats:    make(map[string]*tenantMetrics),
+		reg:            reg,
+		inFlight:       reg.Gauge("http.in_flight"),
+		epochG:         reg.Gauge("ingest.epoch"),
+		deltaDocsG:     reg.Gauge("ingest.delta_docs"),
+		deltaBytesG:    reg.Gauge("ingest.delta_bytes"),
+		routes:         make(map[string]*routeMetrics),
+		panics:         reg.Counter("http.panics"),
+		degraded:       reg.Counter("estimate.degraded"),
+		timeouts:       reg.Counter("http.deadline_exceeded"),
 		batchSizes: reg.Histogram("http.estimate_batch.batch_size",
 			batchSizeBounds),
 		ensembleChecked:   reg.Counter("ensemble.checked"),
@@ -317,53 +313,51 @@ func NewHandlerOptions(c Backend, opts Options) *Handler {
 		return recov(admit(resilience.Deadline(budget)(fn)))
 	}
 
+	// handle registers fn under one route metric for each of the verbs on
+	// path, and records them for path's method-less fallback below.
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/estimate", h.instrument("estimate", guarded(h.res.EstimateBudget, h.estimate)))
-	mux.HandleFunc("POST /v1/estimate/batch", h.instrument("estimate_batch", guarded(h.res.EstimateBudget, h.estimateBatch)))
-	mux.HandleFunc("GET /v1/exact", h.instrument("exact", guarded(h.res.ExactBudget, h.exact)))
-	mux.HandleFunc("GET /v1/query", h.instrument("query", guarded(h.res.QueryBudget, h.query)))
-	mux.HandleFunc("POST /v1/query", h.instrument("query", guarded(h.res.QueryBudget, h.query)))
-	mux.HandleFunc("GET /v1/explain", h.instrument("explain", guarded(h.res.EstimateBudget, h.explain)))
-	mux.HandleFunc("GET /v1/methods", h.instrument("methods", recov(h.methods)))
-	mux.HandleFunc("GET /v1/stats", h.instrument("stats", recov(h.stats)))
-	mux.HandleFunc("GET /v1/metrics", h.instrument("metrics", recov(h.metricsEndpoint)))
-	mux.HandleFunc("POST /v1/docs/{name}", h.instrument("doc_add", guarded(h.res.BuildBudget, h.addDoc)))
-	mux.HandleFunc("DELETE /v1/docs/{name}", h.instrument("doc_remove", guarded(0, h.removeDoc)))
-	// Multi-tenant routes: the same estimate pipeline, routed by tenant,
-	// through the fleet registry and (for sharded tenants) the
-	// scatter-gather front end.
-	mux.HandleFunc("GET /v1/t/{tenant}/estimate", h.instrument("tenant_estimate", guarded(h.res.EstimateBudget, h.tenantEstimate)))
-	mux.HandleFunc("GET /v1/t/{tenant}/query", h.instrument("tenant_query", guarded(h.res.QueryBudget, h.tenantQuery)))
-	mux.HandleFunc("POST /v1/t/{tenant}/query", h.instrument("tenant_query", guarded(h.res.QueryBudget, h.tenantQuery)))
-	mux.HandleFunc("GET /v1/t/{tenant}/stats", h.instrument("tenant_stats", recov(h.tenantStatsEndpoint)))
-	mux.HandleFunc("POST /v1/t/{tenant}/reload", h.instrument("tenant_reload", guarded(0, h.tenantReload)))
-	mux.HandleFunc("GET /v1/tenants", h.instrument("tenants", recov(h.tenantsEndpoint)))
+	allow := map[string][]string{}
+	handle := func(verbs, path, route string, fn http.HandlerFunc) {
+		fn = h.instrument(route, fn)
+		for _, verb := range strings.Fields(verbs) {
+			mux.HandleFunc(verb+" "+path, fn)
+			allow[path] = append(allow[path], verb)
+		}
+	}
+	// The legacy estimate and query routes are the default tenant's
+	// /v1/t/{tenant} routes under their old names: one handler each, with
+	// the tenant fixed and its echo left out.
+	handle("GET", "/v1/estimate", "estimate", guarded(h.res.EstimateBudget, asDefault(h.estimate)))
+	handle("POST", "/v1/estimate/batch", "estimate_batch", guarded(h.res.EstimateBudget, h.estimateBatch))
+	handle("GET", "/v1/exact", "exact", guarded(h.res.ExactBudget, h.exact))
+	handle("GET POST", "/v1/query", "query", guarded(h.res.QueryBudget, asDefault(h.query)))
+	handle("GET", "/v1/explain", "explain", guarded(h.res.EstimateBudget, h.explain))
+	handle("GET", "/v1/methods", "methods", recov(h.methods))
+	handle("GET", "/v1/stats", "stats", recov(h.stats))
+	handle("GET", "/v1/metrics", "metrics", recov(h.metricsEndpoint))
+	handle("POST", "/v1/docs/{name}", "doc_add", guarded(h.res.BuildBudget, h.addDoc))
+	handle("DELETE", "/v1/docs/{name}", "doc_remove", guarded(0, h.removeDoc))
+	// Multi-tenant routes: the same handlers, routed by tenant through
+	// the fleet registry and (for sharded tenants) the scatter-gather
+	// front end.
+	handle("GET", "/v1/t/{tenant}/estimate", "tenant_estimate", guarded(h.res.EstimateBudget, byName(h.estimate)))
+	handle("GET POST", "/v1/t/{tenant}/query", "tenant_query", guarded(h.res.QueryBudget, byName(h.query)))
+	handle("GET", "/v1/t/{tenant}/stats", "tenant_stats", recov(h.tenantStatsEndpoint))
+	handle("POST", "/v1/t/{tenant}/reload", "tenant_reload", guarded(0, h.tenantReload))
+	handle("GET", "/v1/tenants", "tenants", recov(h.tenantsEndpoint))
 	// Health probes stay outside admission control: a load balancer must
 	// be able to ask an overloaded replica how it is doing — readyz
 	// reports the saturation instead of queueing behind it.
-	mux.HandleFunc("GET /v1/healthz", h.instrument("healthz", recov(h.healthz)))
-	mux.HandleFunc("GET /v1/readyz", h.instrument("readyz", recov(h.readyz)))
+	handle("GET", "/v1/healthz", "healthz", recov(h.healthz))
+	handle("GET", "/v1/readyz", "readyz", recov(h.readyz))
 	// Method-less fallbacks: a matching path with the wrong verb gets the
 	// JSON envelope instead of the mux's plain-text 405. They share one
 	// "other" metric with the 404 fallback: per-endpoint histograms are
 	// for traffic that reached an endpoint.
 	other := func(fn http.HandlerFunc) http.HandlerFunc { return h.instrument("other", fn) }
-	mux.HandleFunc("/v1/estimate", other(methodNotAllowed("GET")))
-	mux.HandleFunc("/v1/estimate/batch", other(methodNotAllowed("POST")))
-	mux.HandleFunc("/v1/methods", other(methodNotAllowed("GET")))
-	mux.HandleFunc("/v1/exact", other(methodNotAllowed("GET")))
-	mux.HandleFunc("/v1/query", other(methodNotAllowed("GET, POST")))
-	mux.HandleFunc("/v1/explain", other(methodNotAllowed("GET")))
-	mux.HandleFunc("/v1/stats", other(methodNotAllowed("GET")))
-	mux.HandleFunc("/v1/metrics", other(methodNotAllowed("GET")))
-	mux.HandleFunc("/v1/docs/{name}", other(methodNotAllowed("POST, DELETE")))
-	mux.HandleFunc("/v1/t/{tenant}/estimate", other(methodNotAllowed("GET")))
-	mux.HandleFunc("/v1/t/{tenant}/query", other(methodNotAllowed("GET, POST")))
-	mux.HandleFunc("/v1/t/{tenant}/stats", other(methodNotAllowed("GET")))
-	mux.HandleFunc("/v1/t/{tenant}/reload", other(methodNotAllowed("POST")))
-	mux.HandleFunc("/v1/tenants", other(methodNotAllowed("GET")))
-	mux.HandleFunc("/v1/healthz", other(methodNotAllowed("GET")))
-	mux.HandleFunc("/v1/readyz", other(methodNotAllowed("GET")))
+	for path, verbs := range allow {
+		mux.HandleFunc(path, other(methodNotAllowed(strings.Join(verbs, ", "))))
+	}
 	mux.HandleFunc("/", other(func(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "not_found", "no such endpoint")
 	}))
@@ -380,38 +374,29 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
 }
 
-// scopeFor derives the cache scope for an estimate computed against sum.
-// When the summary belongs to a published RCU epoch, the epoch ID joins
-// the key, so an estimate cached against one epoch can never answer a
-// lookup against another — publishing IS the invalidation. Summaries
-// outside the ingest pipeline (classic corpora, fleet snapshots) carry
-// epoch 0 and rely on DropScope on mutation or reload.
-func scopeFor(tenant string, sum *core.Summary) qcache.Scope {
-	sc := qcache.Scope{Tenant: tenant}
-	if ep, ok := sum.Source().(*core.Epoch); ok {
-		sc.Epoch = ep.ID
+// estimate serves GET /v1/estimate (as the default tenant) and GET
+// /v1/t/{tenant}/estimate. Sharded tenants answer through the
+// scatter-gather front end and report how much of the fleet produced
+// the answer; a partial answer (some shard missed its deadline) is
+// marked degraded. The whole-query cache is scoped per tenant (see
+// scopeFor), so tenants never see each other's answers.
+func (h *Handler) estimate(w http.ResponseWriter, r *http.Request, name string, echo bool) {
+	tn, release, err := h.pin(r.Context(), name)
+	if err != nil {
+		writeCoreError(w, err)
+		return
 	}
-	return sc
-}
-
-func (h *Handler) method(r *http.Request) core.Method {
-	m := r.URL.Query().Get("method")
-	if m == "" {
-		return core.MethodRecursiveVoting
-	}
-	return core.Method(m)
-}
-
-func (h *Handler) estimate(w http.ResponseWriter, r *http.Request) {
+	defer release()
 	qs := r.URL.Query().Get("q")
 	if qs == "" {
 		writeError(w, http.StatusBadRequest, "bad_query", "missing q parameter")
 		return
 	}
-	method := h.method(r)
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	sum := h.c.Summary()
+	method := core.Method(r.URL.Query().Get("method"))
+	if method == "" {
+		method = core.MethodRecursiveVoting
+	}
+	sum := tn.Summary
 	// Validate the method before the query: with an empty corpus every
 	// label is unknown, and a bogus method should still 400. LookupMethod
 	// checks the registry without preparing the backend.
@@ -419,11 +404,21 @@ func (h *Handler) estimate(w http.ResponseWriter, r *http.Request) {
 		writeCoreError(w, err)
 		return
 	}
+	if !h.admit(w, name) {
+		return
+	}
+	defer h.quota.Release(name)
+
+	resp := map[string]any{"query": qs}
+	if echo {
+		resp["tenant"] = name
+	}
 	q, err := sum.ParseQuery(qs)
 	if errors.Is(err, core.ErrUnknownLabel) {
 		// A label no document has ever carried cannot match: the true
 		// selectivity is exactly zero.
-		writeJSON(w, map[string]any{"query": qs, "estimate": 0.0})
+		resp["estimate"] = 0.0
+		writeJSON(w, resp)
 		return
 	}
 	if err != nil {
@@ -433,21 +428,38 @@ func (h *Handler) estimate(w http.ResponseWriter, r *http.Request) {
 	// Cache lookup under the requested method and the pinned summary's
 	// scope; a hit needs no budget. (Cached ensemble answers lose their
 	// divergence verdict — only fresh runs cross-check.)
-	scope := scopeFor("", sum)
+	scope := h.scopeFor(name, sum)
 	if est, ok := h.cache.Get(scope, string(method), q); ok {
-		writeJSON(w, map[string]any{"query": qs, "estimate": est, "method": string(method)})
+		resp["estimate"] = est
+		resp["method"] = string(method)
+		writeJSON(w, resp)
 		return
 	}
-	res, err := h.runEstimate(r.Context(), sum, q, method)
+	res, err := tn.Estimate(r.Context(), q, method, fleet.EstimateOptions{
+		ShardTimeout: h.res.ShardTimeout,
+		NoFallback:   h.res.DisableFallback,
+	})
 	if err != nil {
 		h.coreError(w, err)
 		return
 	}
+	if res.Degraded {
+		h.degraded.Inc()
+	}
+	h.observeEnsemble(res.DegradedEstimate)
 	// Cache under the method that actually produced the value: a degraded
 	// answer must not masquerade as the requested method once pressure
-	// subsides.
-	h.cache.Put(scope, string(res.Method), q, res.Estimate)
-	resp := map[string]any{"query": qs, "estimate": res.Estimate, "method": string(res.Method)}
+	// subsides. A partial shard answer is never cached — it reflects which
+	// shards met their deadline this time, not the tenant's estimate.
+	if !res.Partial {
+		h.cache.Put(scope, string(res.Method), q, res.Estimate)
+	}
+	resp["estimate"] = res.Estimate
+	resp["method"] = string(res.Method)
+	if tn.Shards > 1 || res.Partial {
+		resp["shards_total"] = res.ShardsTotal
+		resp["shards_answered"] = res.ShardsAnswered
+	}
 	if res.Degraded {
 		resp["degraded"] = true
 	}
@@ -469,9 +481,8 @@ type methodCapabilities struct {
 // methods serves GET /v1/methods: the estimator discovery endpoint,
 // driven entirely by the summary's backend registry.
 func (h *Handler) methods(w http.ResponseWriter, _ *http.Request) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	sum := h.c.Summary()
+	sum, release := h.pinDefault()
+	defer release()
 	list := sum.Registry().Methods()
 	out := make([]methodCapabilities, 0, len(list))
 	for _, m := range list {
@@ -485,28 +496,6 @@ func (h *Handler) methods(w http.ResponseWriter, _ *http.Request) {
 		"default": string(core.MethodRecursiveVoting),
 		"methods": out,
 	})
-}
-
-// runEstimate evaluates q against sum within the request budget,
-// degrading to a cheaper method when the budget expires (unless
-// disabled), and accounts ensemble cross-check outcomes. The caller
-// passes the summary it already loaded (and derived the cache scope
-// from) so the whole request pins one epoch — re-loading here could
-// observe a newer one mid-request.
-func (h *Handler) runEstimate(ctx context.Context, sum *core.Summary, q labeltree.Pattern, method core.Method) (core.DegradedEstimate, error) {
-	run := sum.EstimateDegradable
-	if h.res.DisableFallback {
-		run = sum.EstimateStrict
-	}
-	res, err := run(ctx, q, method)
-	if err != nil {
-		return core.DegradedEstimate{}, err
-	}
-	if res.Degraded {
-		h.degraded.Inc()
-	}
-	h.observeEnsemble(res)
-	return res, nil
 }
 
 // observeEnsemble feeds an estimate's cross-check outcome into the obs
@@ -527,9 +516,9 @@ func (h *Handler) exact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_query", "missing q parameter")
 		return
 	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	q, err := h.c.Summary().ParseQuery(qs)
+	sum, release := h.pinDefault()
+	defer release()
+	q, err := sum.ParseQuery(qs)
 	if errors.Is(err, core.ErrUnknownLabel) {
 		writeJSON(w, map[string]any{"query": qs, "count": int64(0)})
 		return
@@ -552,9 +541,8 @@ func (h *Handler) explain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_query", "missing q parameter")
 		return
 	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	sum := h.c.Summary()
+	sum, release := h.pinDefault()
+	defer release()
 	q, err := sum.ParseQuery(qs)
 	if err != nil {
 		writeCoreError(w, err)
@@ -584,9 +572,8 @@ type explainResponse struct {
 }
 
 func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	s := h.c.Summary()
+	s, release := h.pinDefault()
+	defer release()
 	hits, misses, evictions, size := h.cache.Stats()
 	ing := h.syncIngest()
 	resp := map[string]any{
@@ -626,7 +613,7 @@ func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
 		"query": h.querySummary(),
 		// Per-tenant traffic split (requests, shed, subcache hit ratio);
 		// the flat totals above are unchanged and fleet-wide.
-		"tenants": h.tenantsSummary(),
+		"tenants": h.tenantsSummary(s),
 		// Zero-downtime ingest pipeline: serving epoch, delta overlay
 		// size, and refreezer health. All zeros when ingest is off.
 		"epoch":  ing.Epoch,
@@ -663,17 +650,20 @@ func (h *Handler) resilienceSummary() map[string]any {
 // counters (aggregated across the per-method caches) for /v1/stats.
 func (h *Handler) subcacheSummary(s *core.Summary) map[string]any {
 	st := s.SubCacheStats()
-	ratio := 0.0
-	if st.Hits+st.Misses > 0 {
-		ratio = float64(st.Hits) / float64(st.Hits+st.Misses)
-	}
 	return map[string]any{
 		"hits":      st.Hits,
 		"misses":    st.Misses,
 		"evictions": st.Evictions,
 		"entries":   st.Entries,
-		"hit_ratio": ratio,
+		"hit_ratio": subcacheHitRatio(st),
 	}
+}
+
+func subcacheHitRatio(st estimate.SubCacheStats) float64 {
+	if st.Hits+st.Misses == 0 {
+		return 0
+	}
+	return float64(st.Hits) / float64(st.Hits+st.Misses)
 }
 
 // batchSummary condenses the batch-size histogram for /v1/stats. The
@@ -721,7 +711,7 @@ func (h *Handler) addDoc(w http.ResponseWriter, r *http.Request) {
 			// Classic path mutates the serving summary in place, so the
 			// default tenant's cached estimates (epoch 0) are stale. Other
 			// tenants' entries stay warm.
-			h.cache.DropScope("")
+			h.cache.DropScope(DefaultTenant)
 		}
 		h.mu.Unlock()
 	}
@@ -739,7 +729,7 @@ func (h *Handler) removeDoc(w http.ResponseWriter, r *http.Request) {
 	h.mu.Lock()
 	err := h.c.Remove(name)
 	if err == nil {
-		h.cache.DropScope("")
+		h.cache.DropScope(DefaultTenant)
 	}
 	h.mu.Unlock()
 	if err != nil {
@@ -765,8 +755,8 @@ func (h *Handler) coreError(w http.ResponseWriter, err error) {
 	writeCoreError(w, err)
 }
 
-// coreErrorCode classifies estimation-side errors into the envelope's
-// (status, code) vocabulary. Shared between whole-response errors
+// coreErrorCode classifies estimation- and tenant-side errors into the
+// envelope's (status, code) vocabulary. Shared between whole-response errors
 // (writeCoreError) and the batch endpoint's per-item envelopes.
 func coreErrorCode(err error) (int, string) {
 	switch {
@@ -785,6 +775,14 @@ func coreErrorCode(err error) (int, string) {
 		// (frozen fleet tenants) can estimate but not execute. Server
 		// state, not a client typo.
 		return http.StatusConflict, "no_documents"
+	case errors.Is(err, fleet.ErrBadName):
+		return http.StatusBadRequest, "bad_tenant"
+	case errors.Is(err, fleet.ErrUnknownTenant):
+		return http.StatusNotFound, "unknown_tenant"
+	case errors.Is(err, fleet.ErrNoShards):
+		// Every shard of a sharded tenant missed its deadline: the
+		// service is up but this tenant cannot answer right now.
+		return http.StatusServiceUnavailable, "no_shards"
 	case errors.Is(err, core.ErrBudgetExhausted):
 		// A budgeted backend ran out of internal budget with fallback
 		// disabled — the 504 family, like a blown deadline.
@@ -800,7 +798,8 @@ func coreErrorCode(err error) (int, string) {
 	}
 }
 
-// writeCoreError maps estimation-side errors onto the envelope.
+// writeCoreError maps estimation- and tenant-side errors onto the
+// envelope.
 func writeCoreError(w http.ResponseWriter, err error) {
 	status, code := coreErrorCode(err)
 	writeError(w, status, code, err.Error())

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"treelattice/internal/corpus"
+	"treelattice/internal/fleet"
 	"treelattice/internal/obs"
 )
 
@@ -159,6 +160,24 @@ func TestErrorCodes(t *testing.T) {
 		_, out := do(t, tc.method, srv.URL+tc.path, tc.body)
 		if got, _ := out["code"].(string); got != tc.wantCode {
 			t.Errorf("%s %s: code %q, want %q (%v)", tc.method, tc.path, got, tc.wantCode, out)
+		}
+	}
+}
+
+// TestTenantErrorCodes pins the envelope of the fleet-side errors, which
+// share coreErrorCode with the estimation errors.
+func TestTenantErrorCodes(t *testing.T) {
+	for _, tc := range []struct {
+		err    error
+		status int
+		code   string
+	}{
+		{fleet.ErrBadName, http.StatusBadRequest, "bad_tenant"},
+		{fmt.Errorf("%w: %q", fleet.ErrUnknownTenant, "ghost"), http.StatusNotFound, "unknown_tenant"},
+		{fleet.ErrNoShards, http.StatusServiceUnavailable, "no_shards"},
+	} {
+		if status, code := coreErrorCode(tc.err); status != tc.status || code != tc.code {
+			t.Errorf("%v: %d %q, want %d %q", tc.err, status, code, tc.status, tc.code)
 		}
 	}
 }

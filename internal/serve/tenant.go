@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"sort"
 
 	"treelattice/internal/core"
 	"treelattice/internal/fleet"
@@ -12,10 +11,26 @@ import (
 	"treelattice/internal/qcache"
 )
 
-// DefaultTenant is the name the legacy single-tenant routes answer as
-// when no override is configured: /v1/estimate and
-// /v1/t/default/estimate are the same corpus.
+// DefaultTenant is the live corpus's tenant name: the legacy routes
+// answer as it, so /v1/estimate and /v1/t/default/estimate are one
+// tenant, one handler and one cache scope.
 const DefaultTenant = "default"
+
+// tenantHandler serves one request as tenant name; echo says whether the
+// answer names the tenant (the /v1/t/{tenant} routes do, the legacy
+// routes do not).
+type tenantHandler func(w http.ResponseWriter, r *http.Request, name string, echo bool)
+
+// asDefault serves fn on a legacy route: as the default tenant, without
+// the tenant echo.
+func asDefault(fn tenantHandler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) { fn(w, r, DefaultTenant, false) }
+}
+
+// byName serves fn on a /v1/t/{tenant} route.
+func byName(fn tenantHandler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) { fn(w, r, r.PathValue("tenant"), true) }
+}
 
 // tenantMetrics is one tenant's slice of the obs registry. The metric
 // names are namespaced under tenant.<name>.* so the existing flat names
@@ -27,140 +42,91 @@ type tenantMetrics struct {
 	shed     *obs.Counter
 }
 
-// tenantMetricsFor returns (creating on first use) name's counters.
-// Names are validated before this point, so the label space is bounded
-// by the tenants that actually exist.
+// tenantMetricsFor returns (creating on first use) name's counters. The
+// default tenant's are resolved once, at construction, so legacy
+// traffic takes no lock here. Names are validated before this point, so
+// the label space is bounded by the tenants that actually exist.
 func (h *Handler) tenantMetricsFor(name string) *tenantMetrics {
+	if name == DefaultTenant {
+		return h.defaultMetrics
+	}
 	h.tenantMu.Lock()
 	defer h.tenantMu.Unlock()
 	tm, ok := h.tenantStats[name]
 	if !ok {
-		tm = &tenantMetrics{
-			requests: h.reg.Counter("tenant." + name + ".requests"),
-			shed:     h.reg.Counter("tenant." + name + ".shed"),
-		}
+		tm = newTenantMetrics(h.reg, name)
 		h.tenantStats[name] = tm
 	}
 	return tm
 }
 
-// tenantFor resolves a tenant name: the default tenant is the live
-// corpus behind the legacy routes, everything else loads through the
-// fleet registry (when one is configured).
-func (h *Handler) tenantFor(ctx context.Context, name string) (*fleet.Tenant, error) {
-	if err := fleet.ValidateName(name); err != nil {
-		return nil, err
+func newTenantMetrics(reg *obs.Registry, name string) *tenantMetrics {
+	return &tenantMetrics{
+		requests: reg.Counter("tenant." + name + ".requests"),
+		shed:     reg.Counter("tenant." + name + ".shed"),
 	}
-	if name == h.defaultTenant {
-		return fleet.NewTenant(name, h.c.Summary()), nil
-	}
-	if h.flt == nil {
-		return nil, fleet.ErrUnknownTenant
-	}
-	return h.flt.Acquire(ctx, name)
 }
 
-// tenantEstimate serves GET /v1/t/{tenant}/estimate: the multi-tenant
-// twin of /v1/estimate. Sharded tenants answer through the
-// scatter-gather front end and report how much of the fleet produced
-// the answer; a partial answer (some shard missed its deadline) is
-// marked degraded. The whole-query cache applies here too — entries are
-// keyed by (tenant, epoch), so tenants never see each other's answers
-// and a reload or epoch swap makes old entries unreachable. Partial and
-// degraded answers are never cached: they reflect transient pressure,
-// not the tenant's true estimate.
-func (h *Handler) tenantEstimate(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("tenant")
-	tn, err := h.tenantFor(r.Context(), name)
-	if err != nil {
-		writeFleetError(w, err)
-		return
+// pin resolves tenant name for one request. The default tenant is the
+// live corpus: its summary changes with every upload and ingest epoch,
+// so it is read per request under the read lock, which release drops.
+// Every other name loads through the fleet registry (when one is
+// configured); fleet tenants are immutable, so their release does
+// nothing.
+func (h *Handler) pin(ctx context.Context, name string) (tn *fleet.Tenant, release func(), err error) {
+	if name == DefaultTenant {
+		sum, release := h.pinDefault()
+		return fleet.NewTenant(DefaultTenant, sum), release, nil
 	}
-	qs := r.URL.Query().Get("q")
-	if qs == "" {
-		writeError(w, http.StatusBadRequest, "bad_query", "missing q parameter")
-		return
+	if h.flt == nil {
+		if err := fleet.ValidateName(name); err != nil {
+			return nil, nil, err
+		}
+		return nil, nil, fleet.ErrUnknownTenant
 	}
-	method := h.method(r)
-	if _, err := tn.Summary.LookupMethod(method); err != nil {
-		writeCoreError(w, err)
-		return
-	}
+	tn, err = h.flt.Acquire(ctx, name)
+	return tn, func() {}, err
+}
+
+// pinDefault is pin for the default tenant, which always resolves: the
+// corpus summary, read under the read lock that release drops.
+func (h *Handler) pinDefault() (sum *core.Summary, release func()) {
+	h.mu.RLock()
+	return h.c.Summary(), h.mu.RUnlock
+}
+
+// admit applies name's admission quota on top of the global limiter: the
+// limiter decides whether the server has capacity, the quota whether one
+// tenant may monopolize it. A false return has already answered 429; a
+// true one must be paired with h.quota.Release(name).
+func (h *Handler) admit(w http.ResponseWriter, name string) bool {
 	tm := h.tenantMetricsFor(name)
 	if !h.quota.Acquire(name) {
 		tm.shed.Inc()
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, "shed",
 			"tenant over its admission quota; retry later")
-		return
+		return false
 	}
-	defer h.quota.Release(name)
 	tm.requests.Inc()
-
-	q, err := tn.Summary.ParseQuery(qs)
-	if errors.Is(err, core.ErrUnknownLabel) {
-		writeJSON(w, map[string]any{"tenant": name, "query": qs, "estimate": 0.0})
-		return
-	}
-	if err != nil {
-		writeCoreError(w, err)
-		return
-	}
-	scope := h.tenantScope(name, tn.Summary)
-	if est, ok := h.cache.Get(scope, string(method), q); ok {
-		writeJSON(w, map[string]any{
-			"tenant": name, "query": qs, "estimate": est, "method": string(method),
-		})
-		return
-	}
-	res, err := tn.Estimate(r.Context(), q, method, fleet.EstimateOptions{
-		ShardTimeout: h.res.ShardTimeout,
-		NoFallback:   h.res.DisableFallback,
-	})
-	if err != nil {
-		if errors.Is(err, fleet.ErrNoShards) {
-			writeFleetError(w, err)
-			return
-		}
-		h.coreError(w, err)
-		return
-	}
-	if res.Degraded {
-		h.degraded.Inc()
-	}
-	h.observeEnsemble(res.DegradedEstimate)
-	if !res.Degraded && !res.Partial {
-		h.cache.Put(scope, string(res.Method), q, res.Estimate)
-	}
-	resp := map[string]any{
-		"tenant":   name,
-		"query":    qs,
-		"estimate": res.Estimate,
-		"method":   string(res.Method),
-	}
-	if tn.Shards > 1 || res.Partial {
-		resp["shards_total"] = res.ShardsTotal
-		resp["shards_answered"] = res.ShardsAnswered
-	}
-	if res.Degraded {
-		resp["degraded"] = true
-	}
-	if res.Checked {
-		resp["cross_estimate"] = res.CrossEstimate
-		resp["divergence"] = res.Divergence
-		resp["divergent"] = res.Divergent
-	}
-	writeJSON(w, resp)
+	return true
 }
 
-// tenantScope derives the cache scope for an estimate against a named
-// tenant. Ingesting backends discriminate by RCU epoch; fleet tenants
-// loaded from static snapshots carry no epoch, so their registry
-// generation fills the slot — a reload bumps it and the previous
-// generation's entries become unreachable.
-func (h *Handler) tenantScope(name string, sum *core.Summary) qcache.Scope {
-	sc := scopeFor(name, sum)
-	if sc.Epoch == 0 && h.flt != nil && name != h.defaultTenant {
+// scopeFor derives the whole-query cache scope for an estimate against
+// tenant name's summary sum: one scope per tenant name, so tenants never
+// share entries. When the summary belongs to a published RCU epoch, the
+// epoch ID joins the key, so an estimate cached against one epoch can
+// never answer a lookup against another — publishing IS the
+// invalidation. Fleet tenants loaded from static snapshots carry no
+// epoch; their registry generation fills the slot, so a reload makes the
+// previous generation's entries unreachable. The default tenant outside
+// the ingest pipeline carries epoch 0 and relies on DropScope on
+// mutation.
+func (h *Handler) scopeFor(name string, sum *core.Summary) qcache.Scope {
+	sc := qcache.Scope{Tenant: name}
+	if ep, ok := sum.Source().(*core.Epoch); ok {
+		sc.Epoch = ep.ID
+	} else if name != DefaultTenant && h.flt != nil {
 		sc.Epoch = h.flt.Generation(name)
 	}
 	return sc
@@ -174,16 +140,16 @@ func (h *Handler) tenantScope(name string, sum *core.Summary) qcache.Scope {
 func (h *Handler) tenantReload(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("tenant")
 	if err := fleet.ValidateName(name); err != nil {
-		writeFleetError(w, err)
+		writeCoreError(w, err)
 		return
 	}
-	if name == h.defaultTenant {
+	if name == DefaultTenant {
 		writeError(w, http.StatusConflict, "reload_failed",
 			"default tenant is the live corpus; it publishes epochs, not snapshot reloads")
 		return
 	}
 	if h.flt == nil {
-		writeFleetError(w, fleet.ErrUnknownTenant)
+		writeCoreError(w, fleet.ErrUnknownTenant)
 		return
 	}
 	tn, err := h.flt.Reload(r.Context(), name)
@@ -191,7 +157,7 @@ func (h *Handler) tenantReload(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.Is(err, fleet.ErrBadName), errors.Is(err, fleet.ErrUnknownTenant),
 			errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			writeFleetError(w, err)
+			writeCoreError(w, err)
 		default:
 			writeError(w, http.StatusConflict, "reload_failed", err.Error())
 		}
@@ -214,16 +180,17 @@ func (h *Handler) tenantReload(w http.ResponseWriter, r *http.Request) {
 // effectiveness.
 func (h *Handler) tenantStatsEndpoint(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("tenant")
-	tn, err := h.tenantFor(r.Context(), name)
+	tn, release, err := h.pin(r.Context(), name)
 	if err != nil {
-		writeFleetError(w, err)
+		writeCoreError(w, err)
 		return
 	}
+	defer release()
 	tm := h.tenantMetricsFor(name)
 	writeJSON(w, map[string]any{
 		"tenant":         name,
 		"shards":         tn.Shards,
-		"epoch":          h.tenantScope(name, tn.Summary).Epoch,
+		"epoch":          h.scopeFor(name, tn.Summary).Epoch,
 		"k":              tn.Summary.K(),
 		"patterns":       tn.Summary.Patterns(),
 		"bytes":          tn.Summary.SizeBytes(),
@@ -238,9 +205,9 @@ func (h *Handler) tenantStatsEndpoint(w http.ResponseWriter, r *http.Request) {
 
 // tenantsEndpoint serves GET /v1/tenants: residence and churn of the
 // fleet registry, plus per-tenant backend kind and resident footprint
-// for every loaded tenant (and always the default tenant).
+// for every loaded tenant and the default tenant.
 func (h *Handler) tenantsEndpoint(w http.ResponseWriter, _ *http.Request) {
-	resp := map[string]any{"default": h.defaultTenant}
+	resp := map[string]any{"default": DefaultTenant}
 	tenants := map[string]any{}
 	if h.flt != nil {
 		names := h.flt.Resident()
@@ -252,11 +219,11 @@ func (h *Handler) tenantsEndpoint(w http.ResponseWriter, _ *http.Request) {
 			}
 		}
 	} else {
-		resp["resident"] = []string{h.defaultTenant}
+		resp["resident"] = []string{DefaultTenant}
 	}
-	if _, ok := tenants[h.defaultTenant]; !ok {
-		tenants[h.defaultTenant] = tenantShape(fleet.NewTenant(h.defaultTenant, h.c.Summary()))
-	}
+	def, release := h.pinDefault()
+	tenants[DefaultTenant] = tenantShape(fleet.NewTenant(DefaultTenant, def))
+	release()
 	resp["tenants"] = tenants
 	writeJSON(w, resp)
 }
@@ -277,35 +244,33 @@ func (h *Handler) healthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // readyz serves GET /v1/readyz — readiness for load-balancer rotation:
-// the default tenant answers estimates and admission control has spare
-// capacity. 503 keeps new traffic away without killing the replica
-// (that is healthz's job).
-func (h *Handler) readyz(w http.ResponseWriter, r *http.Request) {
+// the default tenant resolves and admission control has spare capacity.
+// 503 keeps new traffic away without killing the replica (that is
+// healthz's job).
+func (h *Handler) readyz(w http.ResponseWriter, _ *http.Request) {
 	if h.limiter.Saturated() {
 		writeError(w, http.StatusServiceUnavailable, "not_ready",
 			"admission control saturated")
 		return
 	}
-	if _, err := h.tenantFor(r.Context(), h.defaultTenant); err != nil {
-		writeError(w, http.StatusServiceUnavailable, "not_ready",
-			"default tenant not loaded: "+err.Error())
-		return
-	}
+	_, release := h.pinDefault()
+	release()
 	writeJSON(w, map[string]any{"status": "ready"})
 }
 
 // tenantsSummary is the /v1/stats "tenants" section: per-tenant request
-// and shed totals plus sub-estimate cache hit ratio, for every tenant
-// that has seen traffic. The default tenant's summary is the live
-// corpus; other tenants report their caches only while resident.
-func (h *Handler) tenantsSummary() map[string]any {
+// and shed totals plus sub-estimate cache hit ratio, for the default
+// tenant (whose summary def the caller has pinned) and every tenant that
+// has seen traffic. Other tenants report their caches only while
+// resident.
+func (h *Handler) tenantsSummary(def *core.Summary) map[string]any {
 	h.tenantMu.Lock()
-	names := make([]string, 0, len(h.tenantStats))
+	names := make([]string, 0, len(h.tenantStats)+1)
+	names = append(names, DefaultTenant)
 	for name := range h.tenantStats {
 		names = append(names, name)
 	}
 	h.tenantMu.Unlock()
-	sort.Strings(names)
 	out := make(map[string]any, len(names))
 	for _, name := range names {
 		tm := h.tenantMetricsFor(name)
@@ -314,44 +279,17 @@ func (h *Handler) tenantsSummary() map[string]any {
 			"shed":     tm.shed.Value(),
 		}
 		var sum *core.Summary
-		if name == h.defaultTenant {
-			sum = h.c.Summary()
-		} else if h.flt != nil {
-			if tn, ok := h.flt.Peek(name); ok {
-				sum = tn.Summary
-			}
+		if name == DefaultTenant {
+			sum = def
+		} else if tn, ok := h.flt.Peek(name); ok {
+			sum = tn.Summary
 		}
 		if sum != nil {
-			st := sum.SubCacheStats()
-			ratio := 0.0
-			if st.Hits+st.Misses > 0 {
-				ratio = float64(st.Hits) / float64(st.Hits+st.Misses)
-			}
-			entry["subcache_hit_ratio"] = ratio
+			entry["subcache_hit_ratio"] = subcacheHitRatio(sum.SubCacheStats())
 			entry["backend"] = sum.StoreKind()
 			entry["resident_bytes"] = sum.ResidentBytes()
 		}
 		out[name] = entry
 	}
 	return out
-}
-
-// writeFleetError maps fleet-side errors onto the JSON envelope.
-func writeFleetError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, fleet.ErrBadName):
-		writeError(w, http.StatusBadRequest, "bad_tenant", err.Error())
-	case errors.Is(err, fleet.ErrUnknownTenant):
-		writeError(w, http.StatusNotFound, "unknown_tenant", err.Error())
-	case errors.Is(err, fleet.ErrNoShards):
-		// Every shard missed its deadline: the service is up but this
-		// tenant cannot answer right now.
-		writeError(w, http.StatusServiceUnavailable, "no_shards", err.Error())
-	case errors.Is(err, context.Canceled):
-		writeError(w, 499, "canceled", err.Error())
-	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, "deadline_exceeded", err.Error())
-	default:
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-	}
 }

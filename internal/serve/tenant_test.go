@@ -312,6 +312,13 @@ func TestTenantReloadEndpoint(t *testing.T) {
 		t.Fatalf("tenant stats epoch %v != generation %v", out["epoch"], gen)
 	}
 
+	// The default tenant is the live corpus, not a snapshot: it
+	// publishes epochs and refuses reloads.
+	code, out = do(t, "POST", srv.URL+"/v1/t/default/reload", "")
+	if code != http.StatusConflict || out["code"] != "reload_failed" {
+		t.Fatalf("reload default: %d %v", code, out)
+	}
+
 	// Unknown tenants and bad methods keep their envelopes.
 	code, out = do(t, "POST", srv.URL+"/v1/t/nosuch/reload", "")
 	if code != http.StatusNotFound || out["code"] != "unknown_tenant" {
