@@ -19,7 +19,8 @@ FUZZ_TARGETS = \
 	./internal/lattice:FuzzCompressedLoad \
 	./internal/lattice:FuzzDeltaMerge \
 	./internal/fleet:FuzzTenantName \
-	./internal/serve:FuzzQueryEndpoint
+	./internal/serve:FuzzQueryEndpoint \
+	./internal/twigjoin:FuzzIndexProbes
 
 .PHONY: check vet build test race fuzz fuzz-short bench benchcore microbench
 
@@ -36,7 +37,7 @@ fuzz:
 # generation): fast enough for the check gate, still catches regressions
 # on every previously interesting input checked into testdata.
 fuzz-short:
-	$(GO) test -run='^Fuzz' ./internal/xmlparse ./internal/labeltree ./internal/lattice ./internal/fleet ./internal/serve
+	$(GO) test -run='^Fuzz' ./internal/xmlparse ./internal/labeltree ./internal/lattice ./internal/fleet ./internal/serve ./internal/twigjoin
 
 vet:
 	$(GO) vet ./...

@@ -573,22 +573,23 @@ func (s *Summary) EstimateQueryContext(ctx context.Context, query string, method
 
 // ParseQuery parses a twig query against the summary's dictionary,
 // classifying failures: syntax errors wrap ErrBadQuery, and labels the
-// dictionary has never seen wrap ErrUnknownLabel.
+// dictionary has never seen wrap ErrUnknownLabel. Labels are looked up,
+// never interned, so queries leave the dictionary unchanged.
 func (s *Summary) ParseQuery(query string) (labeltree.Pattern, error) {
-	// Labels interned by this parse get IDs at or past the current
-	// dictionary length — exactly the ones no document or summary has
-	// ever mentioned.
-	known := labeltree.LabelID(s.dict.Len())
-	q, err := labeltree.ParsePattern(query, s.dict)
+	q, err := labeltree.ParseKnownPattern(query, s.dict)
 	if err != nil {
-		return labeltree.Pattern{}, fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
-	for i := int32(0); int(i) < q.Size(); i++ {
-		if l := q.Label(i); l >= known {
-			return labeltree.Pattern{}, fmt.Errorf("%w: %q", ErrUnknownLabel, s.dict.Name(l))
-		}
+		return labeltree.Pattern{}, parseError(err)
 	}
 	return q, nil
+}
+
+// parseError classifies a lookup-only parse failure.
+func parseError(err error) error {
+	var unknown *labeltree.UnknownLabelError
+	if errors.As(err, &unknown) {
+		return fmt.Errorf("%w: %q", ErrUnknownLabel, unknown.Label)
+	}
+	return fmt.Errorf("%w: %v", ErrBadQuery, err)
 }
 
 // EstimateWithTrace estimates q and returns the work record: lattice

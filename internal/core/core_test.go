@@ -75,6 +75,41 @@ func TestEstimateQueryErrors(t *testing.T) {
 	}
 }
 
+// TestParseLeavesDictUnchanged: ParseQuery and ParseTwigQuery look
+// labels up instead of interning them, so an unknown label fails with
+// ErrUnknownLabel every time it is asked and the dictionary never grows;
+// a syntax error still wins over an unknown label.
+func TestParseLeavesDictUnchanged(t *testing.T) {
+	sum, _, dict := buildSample(t, 3)
+	n := dict.Len()
+	for round := 0; round < 2; round++ {
+		if _, err := sum.ParseQuery("laptop(never_seen)"); !errors.Is(err, ErrUnknownLabel) || !strings.Contains(err.Error(), `"never_seen"`) {
+			t.Fatalf("round %d: ParseQuery unknown label = %v, want ErrUnknownLabel naming never_seen", round, err)
+		}
+		if _, err := sum.ParseTwigQuery("//laptop(//never_seen,brand)"); !errors.Is(err, ErrUnknownLabel) || !strings.Contains(err.Error(), `"never_seen"`) {
+			t.Fatalf("round %d: ParseTwigQuery unknown label = %v, want ErrUnknownLabel naming never_seen", round, err)
+		}
+		if _, err := sum.EstimateQuery("never_seen2", MethodRecursive); !errors.Is(err, ErrUnknownLabel) {
+			t.Fatalf("round %d: EstimateQuery unknown label = %v, want ErrUnknownLabel", round, err)
+		}
+		if _, err := sum.ParseQuery("never_seen3(("); !errors.Is(err, ErrBadQuery) {
+			t.Fatalf("round %d: ParseQuery syntax error = %v, want ErrBadQuery", round, err)
+		}
+		if _, err := sum.ParseTwigQuery("//never_seen3(//"); !errors.Is(err, ErrBadQuery) {
+			t.Fatalf("round %d: ParseTwigQuery syntax error = %v, want ErrBadQuery", round, err)
+		}
+	}
+	if got := dict.Len(); got != n {
+		t.Fatalf("dictionary grew from %d to %d labels", n, got)
+	}
+	if _, err := sum.ParseQuery("laptop(brand,price)"); err != nil {
+		t.Fatalf("known labels: %v", err)
+	}
+	if _, err := sum.ParseTwigQuery("/computer(//brand)"); err != nil {
+		t.Fatalf("known labels: %v", err)
+	}
+}
+
 func TestSentinelErrors(t *testing.T) {
 	sum, tr, _ := buildSample(t, 3)
 	if _, err := sum.EstimateQuery("a((", MethodRecursive); !errors.Is(err, ErrBadQuery) {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"treelattice/internal/labeltree"
 	"treelattice/internal/planner"
 	"treelattice/internal/twigjoin"
 )
@@ -36,15 +35,9 @@ type TwigIndexerSource interface {
 // ErrUnknownLabel. This is the query-execution counterpart of
 // ParseQuery, which accepts only the child-axis estimator syntax.
 func (s *Summary) ParseTwigQuery(query string) (twigjoin.Query, error) {
-	known := labeltree.LabelID(s.dict.Len())
-	q, err := twigjoin.ParseQuery(query, s.dict)
+	q, err := twigjoin.ParseKnownQuery(query, s.dict)
 	if err != nil {
-		return twigjoin.Query{}, fmt.Errorf("%w: %v", ErrBadQuery, err)
-	}
-	for i := int32(0); int(i) < q.Pattern.Size(); i++ {
-		if l := q.Pattern.Label(i); l >= known {
-			return twigjoin.Query{}, fmt.Errorf("%w: %q", ErrUnknownLabel, s.dict.Name(l))
-		}
+		return twigjoin.Query{}, parseError(err)
 	}
 	return q, nil
 }

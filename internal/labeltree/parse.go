@@ -23,7 +23,28 @@ const (
 // accepted and ignored: patterns are matched anywhere in the data tree, so
 // the descendant axis at the root is implicit.
 func ParsePattern(s string, dict *Dict) (Pattern, error) {
-	p := &patternParser{src: s, dict: dict}
+	return parsePattern(&patternParser{src: s, dict: dict})
+}
+
+// ParseKnownPattern is ParsePattern that resolves labels with
+// dict.Lookup instead of interning them, so untrusted queries never grow
+// a shared dictionary. A well-formed query naming a label dict does not
+// hold fails with an *UnknownLabelError; syntax errors take precedence.
+func ParseKnownPattern(s string, dict *Dict) (Pattern, error) {
+	return parsePattern(&patternParser{src: s, dict: dict, lookup: true})
+}
+
+// UnknownLabelError reports the first label of a lookup-only parse that
+// the dictionary does not hold.
+type UnknownLabelError struct {
+	Label string
+}
+
+func (e *UnknownLabelError) Error() string {
+	return fmt.Sprintf("labeltree: unknown label %q", e.Label)
+}
+
+func parsePattern(p *patternParser) (Pattern, error) {
 	p.skipSpace()
 	p.acceptPrefix("//")
 	root, err := p.parseNode(-1, 1)
@@ -34,6 +55,9 @@ func ParsePattern(s string, dict *Dict) (Pattern, error) {
 	p.skipSpace()
 	if p.pos != len(p.src) {
 		return Pattern{}, fmt.Errorf("labeltree: trailing input %q at offset %d", p.src[p.pos:], p.pos)
+	}
+	if p.unknown != nil {
+		return Pattern{}, p.unknown
 	}
 	return Pattern{labels: p.labels, parent: p.parents}, nil
 }
@@ -73,6 +97,22 @@ type patternParser struct {
 	dict    *Dict
 	labels  []LabelID
 	parents []int32
+
+	lookup  bool               // resolve labels without interning
+	unknown *UnknownLabelError // first label lookup missed
+}
+
+// label resolves name: interned, or looked up with the first miss
+// recorded so parsing can go on to report any syntax error first.
+func (p *patternParser) label(name string) LabelID {
+	if !p.lookup {
+		return p.dict.Intern(name)
+	}
+	id, ok := p.dict.Lookup(name)
+	if !ok && p.unknown == nil {
+		p.unknown = &UnknownLabelError{Label: name}
+	}
+	return id
 }
 
 func (p *patternParser) skipSpace() {
@@ -113,7 +153,7 @@ func (p *patternParser) parseNode(parent int32, depth int) (int32, error) {
 		return -1, fmt.Errorf("labeltree: expected label at offset %d in %q", p.pos, p.src)
 	}
 	idx := int32(len(p.labels))
-	p.labels = append(p.labels, p.dict.Intern(p.src[start:p.pos]))
+	p.labels = append(p.labels, p.label(p.src[start:p.pos]))
 	p.parents = append(p.parents, parent)
 	p.skipSpace()
 	if p.pos < len(p.src) && p.src[p.pos] == '(' {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -195,6 +196,35 @@ func TestUnknownLabelEstimatesZero(t *testing.T) {
 	code, out = do(t, "GET", srv.URL+"/v1/exact?q=never_seen2", "")
 	if code != 200 || out["count"].(float64) != 0 {
 		t.Fatalf("unknown label exact: %d %v", code, out)
+	}
+}
+
+// TestUnknownLabelRepeatsIdentically: a query's labels are looked up,
+// never interned, so asking the same unknown-label estimate or query
+// again answers byte-identically (the zero shortcut both times, not a
+// lattice miss the second time) and the corpus dictionary keeps its size.
+func TestUnknownLabelRepeatsIdentically(t *testing.T) {
+	srv, c := newServer(t)
+	do(t, "POST", srv.URL+"/v1/docs/sample", doc)
+	dict := c.Dict()
+	n := dict.Len()
+	for _, path := range []string{
+		"/v1/estimate?q=never_seen(brand)",
+		"/v1/t/default/estimate?q=laptop(never_seen2)",
+		"/v1/estimate?q=laptop(never_seen3)&method=recursive",
+		"/v1/query?q=//laptop(//never_seen4)",
+	} {
+		code, _, first := rawDo(t, "GET", srv.URL+path, "")
+		if code != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, code, first)
+		}
+		_, _, second := rawDo(t, "GET", srv.URL+path, "")
+		if !bytes.Equal(first, second) {
+			t.Fatalf("%s: repeat answered differently:\n%s\n%s", path, first, second)
+		}
+	}
+	if got := dict.Len(); got != n {
+		t.Fatalf("dictionary grew from %d to %d labels", n, got)
 	}
 }
 

@@ -28,13 +28,15 @@ type Stats struct {
 }
 
 // execScratch is the per-execution working set, pooled so steady-state
-// executions allocate nothing: the bind order and assignment slices are
-// sized to the query, the used bitmap to the data tree (cleared lazily
-// through usedStack, so reuse costs O(marks), not O(tree)).
+// executions allocate nothing: the bind order, assignment and shared
+// slices are sized to the query, the used bitmap to the data tree
+// (cleared lazily through usedStack, so reuse costs O(marks), not
+// O(tree)).
 type execScratch struct {
 	order     []int32
 	assigned  []int32
 	pos       []int32 // validateOrder scratch
+	shared    []bool  // indexed by query node; see markShared
 	used      []bool  // indexed by data node id
 	usedStack []int32 // nodes currently marked, stack-disciplined
 }
@@ -47,10 +49,12 @@ func acquireScratch(querySize, treeSize int) *execScratch {
 		s.order = make([]int32, querySize)
 		s.assigned = make([]int32, querySize)
 		s.pos = make([]int32, querySize)
+		s.shared = make([]bool, querySize)
 	}
 	s.order = s.order[:querySize]
 	s.assigned = s.assigned[:querySize]
 	s.pos = s.pos[:querySize]
+	s.shared = s.shared[:querySize]
 	if cap(s.used) < treeSize {
 		s.used = make([]bool, treeSize)
 	}
@@ -101,6 +105,7 @@ func EnumerateContext(ctx context.Context, x *Index, q Query, bindOrder []int32,
 		copy(scratch.order, bindOrder)
 	}
 	validateOrder(q.Pattern, scratch.order, scratch.pos)
+	markShared(q.Pattern, scratch.shared)
 	e := executor{x: x, q: q, order: scratch.order, scratch: scratch, ctx: ctx, budget: nodeBudget}
 	e.run(0, emit)
 	return e.stats, e.err
@@ -145,11 +150,30 @@ func CountAnchoredContext(ctx context.Context, x *Index, q Query, root int32, no
 	for i := range scratch.order {
 		scratch.order[i] = int32(i)
 	}
+	markShared(q.Pattern, scratch.shared)
 	e := executor{x: x, q: q, order: scratch.order, scratch: scratch, ctx: ctx, budget: nodeBudget}
 	scratch.assigned[0] = root
 	e.mark(root)
 	e.run(1, func(Match) bool { return true })
 	return e.stats.Matches, e.err
+}
+
+// maxSharedScan bounds the pattern size markShared scans pairwise.
+// Real twigs have a handful of nodes; the parser admits far larger ones.
+const maxSharedScan = 64
+
+// markShared sets shared[i] when another node of p carries query node
+// i's label. A data node carries one label, so only such query nodes can
+// compete for the same data node, and only they need the injectivity
+// bitmap. Patterns past maxSharedScan nodes skip the quadratic scan and
+// mark every node shared.
+func markShared(p labeltree.Pattern, shared []bool) {
+	for i := range shared {
+		shared[i] = len(shared) > maxSharedScan
+		for j := 0; j < len(shared) && !shared[i]; j++ {
+			shared[i] = j != i && p.Label(int32(j)) == p.Label(int32(i))
+		}
+	}
 }
 
 // validateOrder checks that order is a permutation binding parents before
@@ -233,6 +257,7 @@ func (e *executor) run(depth int, emit func(Match) bool) {
 			candidates = e.x.DescendantsByLabel(pv, label)
 		}
 	}
+	shared := e.scratch.shared[qn]
 	for _, v := range candidates {
 		e.stats.Candidates++
 		if e.budget != nil {
@@ -250,13 +275,17 @@ func (e *executor) run(depth int, emit func(Match) bool) {
 				return
 			}
 		}
-		if e.scratch.used[v] {
-			continue
+		if shared {
+			if e.scratch.used[v] {
+				continue
+			}
+			e.mark(v)
 		}
-		e.mark(v)
 		e.scratch.assigned[qn] = v
 		e.run(depth+1, emit)
-		e.unmark(v)
+		if shared {
+			e.unmark(v)
+		}
 		if e.stopped {
 			return
 		}
@@ -265,13 +294,13 @@ func (e *executor) run(depth int, emit func(Match) bool) {
 
 // rootSelf returns the one-element candidate list holding the document
 // root, without allocating: the root is always the first entry of its
-// label's region list.
+// label's stream.
 func (x *Index) rootSelf(label labeltree.LabelID) []int32 {
-	r := x.regions[label]
-	if r == nil || len(r.nodes) == 0 || r.nodes[0] != 0 {
+	s := x.Stream(label)
+	if len(s) == 0 || s[0] != 0 {
 		return nil
 	}
-	return r.nodes[:1]
+	return s[:1]
 }
 
 // EstimatedFirstMatch returns the first match in the deterministic order,

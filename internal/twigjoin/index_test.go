@@ -10,9 +10,9 @@ import (
 	"treelattice/internal/treetest"
 )
 
-// TestChildrenByLabelAgainstWalk checks the level-partitioned range probe
-// against a direct walk of the child list, for every node and label of
-// random trees.
+// TestChildrenByLabelAgainstWalk checks the child-table probe against a
+// direct walk of the child list, for every node and label of random
+// trees.
 func TestChildrenByLabelAgainstWalk(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -144,6 +144,121 @@ func TestEnumerateContextBudget(t *testing.T) {
 	if st.Matches != full.Matches {
 		t.Fatalf("budgeted count %d != full count %d", st.Matches, full.Matches)
 	}
+}
+
+// randomQuery draws a twig of 1..4 nodes over labels with a random axis
+// on every edge and at the root, plus a random parent-before-child bind
+// order.
+func randomQuery(rng *rand.Rand, labels []labeltree.LabelID) (Query, []int32) {
+	p := treetest.RandomPattern(rng, 1+rng.Intn(4), labels)
+	axes := make([]Axis, p.Size())
+	for i := range axes {
+		axes[i] = Axis(rng.Intn(2))
+	}
+	order := make([]int32, 0, p.Size())
+	ready := []int32{0}
+	for len(ready) > 0 {
+		k := rng.Intn(len(ready))
+		n := ready[k]
+		ready = append(ready[:k], ready[k+1:]...)
+		order = append(order, n)
+		for c := int32(1); int(c) < p.Size(); c++ {
+			if p.Parent(c) == n {
+				ready = append(ready, c)
+			}
+		}
+	}
+	return MustQuery(p, axes), order
+}
+
+// matchDigest folds an emitted match sequence into a count and an
+// order-sensitive hash.
+type matchDigest struct {
+	n    int64
+	hash uint64
+}
+
+func (d *matchDigest) emit(m Match) bool {
+	d.n++
+	for _, v := range m {
+		d.hash = (d.hash ^ uint64(v)) * 1099511628211
+	}
+	d.hash = (d.hash ^ 0xff) * 1099511628211
+	return true
+}
+
+// TestEnumerateMatchesScan checks the indexed executor against the
+// index-free scan reference on random trees with duplicate sibling
+// labels and twigs using both axes, under stored and random bind orders:
+// the emitted match sequence and Stats must be identical, and so must the
+// partial results when a small node budget shared across consecutive
+// queries runs out. Stats.Candidates is the planner's calibration signal
+// and the budgeted partial count is the degraded answer, so both are
+// pinned to the reference rather than to the index layout.
+func TestEnumerateMatchesScan(t *testing.T) {
+	var matches, truncated int
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		dict, labels := treetest.Alphabet(3)
+		tr := treetest.RandomTree(rng, 60+rng.Intn(60), labels, dict)
+		x := NewIndex(tr)
+		budgetX, budgetS := int64(400), int64(400)
+		for k := 0; k < 60; k++ {
+			q, order := randomQuery(rng, labels)
+			if k%2 == 0 {
+				order = nil
+			}
+			var dx, ds matchDigest
+			stx, errx := EnumerateContext(context.Background(), x, q, order, nil, dx.emit)
+			sts, errs := scanEnumerate(tr, q, order, nil, ds.emit)
+			if errx != nil || errs != nil || stx != sts || dx != ds {
+				t.Fatalf("seed %d query %s order %v: indexed %+v %v %+v, scan %+v %v %+v",
+					seed, q.String(dict), order, stx, errx, dx, sts, errs, ds)
+			}
+
+			dx, ds = matchDigest{}, matchDigest{}
+			stx, errx = EnumerateContext(context.Background(), x, q, order, &budgetX, dx.emit)
+			sts, errs = scanEnumerate(tr, q, order, &budgetS, ds.emit)
+			if !errors.Is(errx, errs) || stx != sts || dx != ds || budgetX != budgetS {
+				t.Fatalf("seed %d query %s order %v under budget: indexed %+v %v %+v left %d, scan %+v %v %+v left %d",
+					seed, q.String(dict), order, stx, errx, dx, budgetX, sts, errs, ds, budgetS)
+			}
+			matches += int(dx.n)
+			if errx != nil {
+				truncated++
+			}
+			if budgetX <= 0 {
+				budgetX, budgetS = 400, 400
+			}
+		}
+	}
+	if matches == 0 || truncated == 0 {
+		t.Fatalf("workload too weak: %d matches, %d budget-truncated queries", matches, truncated)
+	}
+
+	// A twig past maxSharedScan nodes takes the path that guards every
+	// query node with the injectivity bitmap: a star of same-labeled
+	// leaves, matched against a copy of itself up to the 50th match.
+	dict, labels := treetest.Alphabet(2)
+	lab := make([]labeltree.LabelID, maxSharedScan+8)
+	par := make([]int32, len(lab))
+	for i := range lab {
+		lab[i], par[i] = labels[1], 0
+	}
+	lab[0], par[0] = labels[0], -1
+	p := labeltree.MustPattern(lab, par)
+	tr := treetest.TreeFromPattern(p, dict)
+	q := MustQuery(p, nil)
+	var dx, ds matchDigest
+	first50 := func(d *matchDigest) func(Match) bool {
+		return func(m Match) bool { return d.emit(m) && d.n < 50 }
+	}
+	stx, _ := EnumerateContext(context.Background(), NewIndex(tr), q, nil, nil, first50(&dx))
+	sts, _ := scanEnumerate(tr, q, nil, nil, first50(&ds))
+	if stx != sts || dx != ds || dx.n != 50 {
+		t.Fatalf("large twig: indexed %+v %+v, scan %+v %+v", stx, dx, sts, ds)
+	}
+	t.Logf("%d matches, %d budget-truncated queries", matches, truncated)
 }
 
 // TestEnumerateContextCanceled checks both the fail-fast path and the

@@ -70,7 +70,19 @@ const (
 // "a(b,//c(d))". A leading "//" (default) matches the query anywhere in
 // the document; a leading "/" anchors it at the document root.
 func ParseQuery(s string, dict *labeltree.Dict) (Query, error) {
-	p := &queryParser{src: strings.TrimSpace(s), dict: dict}
+	return parseQuery(&queryParser{src: strings.TrimSpace(s), dict: dict})
+}
+
+// ParseKnownQuery is ParseQuery that resolves labels with dict.Lookup
+// instead of interning them, so untrusted queries never grow a shared
+// dictionary. A well-formed query naming a label dict does not hold
+// fails with a *labeltree.UnknownLabelError; syntax errors take
+// precedence.
+func ParseKnownQuery(s string, dict *labeltree.Dict) (Query, error) {
+	return parseQuery(&queryParser{src: strings.TrimSpace(s), dict: dict, lookup: true})
+}
+
+func parseQuery(p *queryParser) (Query, error) {
 	rootAxis := Descendant
 	switch {
 	case strings.HasPrefix(p.src, "//"):
@@ -89,6 +101,9 @@ func ParseQuery(s string, dict *labeltree.Dict) (Query, error) {
 	pat, err := labeltree.NewPattern(p.labels, p.parents)
 	if err != nil {
 		return Query{}, err
+	}
+	if p.unknown != nil {
+		return Query{}, p.unknown
 	}
 	return Query{Pattern: pat, Axes: p.axes}, nil
 }
@@ -149,6 +164,22 @@ type queryParser struct {
 	labels  []labeltree.LabelID
 	parents []int32
 	axes    []Axis
+
+	lookup  bool                         // resolve labels without interning
+	unknown *labeltree.UnknownLabelError // first label lookup missed
+}
+
+// label resolves name: interned, or looked up with the first miss
+// recorded so parsing can go on to report any syntax error first.
+func (p *queryParser) label(name string) labeltree.LabelID {
+	if !p.lookup {
+		return p.dict.Intern(name)
+	}
+	id, ok := p.dict.Lookup(name)
+	if !ok && p.unknown == nil {
+		p.unknown = &labeltree.UnknownLabelError{Label: name}
+	}
+	return id
 }
 
 func (p *queryParser) skipSpace() {
@@ -178,7 +209,7 @@ func (p *queryParser) parseNode(parent int32, axis Axis, depth int) error {
 		return fmt.Errorf("twigjoin: expected label at offset %d in %q", p.pos, p.src)
 	}
 	idx := int32(len(p.labels))
-	p.labels = append(p.labels, p.dict.Intern(p.src[start:p.pos]))
+	p.labels = append(p.labels, p.label(p.src[start:p.pos]))
 	p.parents = append(p.parents, parent)
 	p.axes = append(p.axes, axis)
 	p.skipSpace()
