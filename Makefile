@@ -15,6 +15,7 @@ FUZZ_TARGETS = \
 	./internal/xmlparse:FuzzParse \
 	./internal/labeltree:FuzzQuerySyntax \
 	./internal/labeltree:FuzzKeyDecode \
+	./internal/labeltree:FuzzKeyWithout \
 	./internal/lattice:FuzzFrozenLoad \
 	./internal/lattice:FuzzCompressedLoad \
 	./internal/lattice:FuzzDeltaMerge \

@@ -23,7 +23,9 @@ package estimate
 
 import (
 	"context"
+	"slices"
 	"sort"
+	"strings"
 
 	"treelattice/internal/labeltree"
 	"treelattice/internal/lattice"
@@ -224,13 +226,41 @@ type engine struct {
 }
 
 func (e *engine) estimate(q labeltree.Pattern, depth int) float64 {
-	return e.estimateKeyed(q, q.Key(), depth)
+	return e.estimateKeyed(subTwig{from: q, u: -1, v: -1}, q.Key(), depth)
 }
 
-// estimateKeyed is estimate for callers that already hold q's canonical
-// key (the decomposition enumerator computes every subtree's key for its
-// signature, so recursion never re-encodes a pattern).
-func (e *engine) estimateKeyed(q labeltree.Pattern, key labeltree.Key, depth int) float64 {
+// subTwig is a twig carried by reference: the pattern it was cut from and
+// the degree-1 nodes removed from it (-1 for none). The decomposition
+// enumerator keys every sub-twig with KeyWithout, so a sub-twig answered
+// by the memo, the store or the SubCache — most of them — never becomes a
+// pattern; pattern builds it only when it must itself be decomposed.
+type subTwig struct {
+	from labeltree.Pattern
+	u, v int32
+}
+
+func (t subTwig) size() int {
+	n := t.from.Size()
+	if t.u >= 0 {
+		n--
+	}
+	if t.v >= 0 {
+		n--
+	}
+	return n
+}
+
+func (t subTwig) pattern() labeltree.Pattern {
+	if t.u < 0 {
+		return t.from
+	}
+	return t.from.Without(t.u, t.v)
+}
+
+// estimateKeyed estimates sub-twig t, whose canonical key the caller
+// already holds (the decomposition enumerator keys every sub-twig for its
+// signature, so recursion never re-encodes one).
+func (e *engine) estimateKeyed(t subTwig, key labeltree.Key, depth int) float64 {
 	if e.ctx != nil {
 		if e.ctxErr != nil {
 			return 0
@@ -264,7 +294,8 @@ func (e *engine) estimateKeyed(q labeltree.Pattern, key labeltree.Key, depth int
 	// Missing from the lattice. Sizes 1–2 are never pruned, so a missing
 	// small pattern does not occur in the data at all. The same holds for
 	// any in-range size when the lattice is complete.
-	if q.Size() <= 2 || (q.Size() <= e.sum.K() && !e.sum.Pruned()) {
+	size := t.size()
+	if size <= 2 || (size <= e.sum.K() && !e.sum.Pruned()) {
 		e.memo[key] = 0
 		return 0
 	}
@@ -280,7 +311,7 @@ func (e *engine) estimateKeyed(q labeltree.Pattern, key labeltree.Key, depth int
 		return v
 	}
 	voting := e.voting
-	if q.Size() <= e.sum.K() {
+	if size <= e.sum.K() {
 		// In range but pruned as derivable: reconstruct with the same
 		// canonical single-pair decomposition the pruning criterion
 		// (Definition 2) was evaluated with, so pruned and full summaries
@@ -291,6 +322,7 @@ func (e *engine) estimateKeyed(q labeltree.Pattern, key labeltree.Key, depth int
 			e.tr.Reconstructions++
 		}
 	}
+	q := t.pattern()
 	ds := decompositions(q)
 	if !voting {
 		ds = ds[:1] // canonically smallest decomposition
@@ -302,9 +334,9 @@ func (e *engine) estimateKeyed(q labeltree.Pattern, key labeltree.Key, depth int
 	votes := make([]float64, len(ds))
 	for i, d := range ds {
 		votes[i] = Augment(
-			e.estimateKeyed(d.t1, d.t1Key, depth+1),
-			e.estimateKeyed(d.t2, d.t2Key, depth+1),
-			e.estimateKeyed(d.common, d.commonKey, depth+1),
+			e.estimateKeyed(subTwig{from: q, u: d.u, v: -1}, d.t1Key, depth+1),
+			e.estimateKeyed(subTwig{from: q, u: d.v, v: -1}, d.t2Key, depth+1),
+			e.estimateKeyed(subTwig{from: q, u: d.u, v: d.v}, d.commonKey, depth+1),
 		)
 		if e.tr != nil {
 			e.tr.Augmentations++
@@ -356,31 +388,42 @@ func aggregate(votes []float64, scheme VotingScheme) float64 {
 	return sum / float64(len(votes))
 }
 
-// decomposition is one leaf-pair removal: T1 and T2 are the query minus
-// one leaf each, common is the query minus both. The canonical keys of
-// all three subtrees ride along so recursion and memoization never
-// re-encode them.
+// decomposition is one leaf-pair removal of a query q, carried by key:
+// T1 is q minus leaf u, T2 is q minus leaf v, and the common part is q
+// minus both. Recursion and memoization work on the keys; a sub-twig's
+// pattern is built from q and the removed leaves only when needed.
 type decomposition struct {
-	t1, t2, common          labeltree.Pattern
+	u, v                    int32
 	t1Key, t2Key, commonKey labeltree.Key
-	sig                     decompSig
+}
+
+// sig is the decomposition's canonical signature.
+func (d *decomposition) sig() decompSig {
+	lo, hi := d.t1Key, d.t2Key
+	if hi < lo {
+		lo, hi = hi, lo
+	}
+	return decompSig{lo: lo, hi: hi, common: d.commonKey}
 }
 
 // decompSig orders decompositions canonically: the unordered {T1, T2} key
-// pair (lo ≤ hi) then the common part's key, compared field-wise. A
-// comparable struct of keys — no per-pair string building.
+// pair (lo ≤ hi) then the common part's key, compared field-wise. Two
+// decompositions with equal signatures have the same {T1, T2} key pair
+// and common key; Augment is symmetric in T1 and T2, so their order
+// cannot change a vote.
 type decompSig struct {
 	lo, hi, common labeltree.Key
 }
 
-func (a decompSig) less(b decompSig) bool {
-	if a.lo != b.lo {
-		return a.lo < b.lo
+// cmp is a three-way comparison of signatures.
+func (a decompSig) cmp(b decompSig) int {
+	if c := strings.Compare(string(a.lo), string(b.lo)); c != 0 {
+		return c
 	}
-	if a.hi != b.hi {
-		return a.hi < b.hi
+	if c := strings.Compare(string(a.hi), string(b.hi)); c != 0 {
+		return c
 	}
-	return a.common < b.common
+	return strings.Compare(string(a.common), string(b.common))
 }
 
 // decompositions enumerates every admissible leaf-pair decomposition of q,
@@ -390,39 +433,28 @@ func (a decompSig) less(b decompSig) bool {
 // pruning verifies a pattern against the deterministic decomposition, and
 // query-time reconstruction encounters the same pattern under a different
 // numbering; both must pick the same decomposition.
+//
+// Only keys are computed, and no sub-pattern is built: each single-leaf
+// removal is keyed once per leaf (T1 depends only on u and T2 only on v)
+// and each pair removal once per pair, by KeyWithout.
 func decompositions(q labeltree.Pattern) []decomposition {
 	leaves := q.Leaves()
+	single := make([]labeltree.Key, len(leaves))
+	for i, l := range leaves {
+		single[i] = q.KeyWithout(l, -1)
+	}
 	out := make([]decomposition, 0, len(leaves)*(len(leaves)-1)/2)
 	for i := 0; i < len(leaves); i++ {
 		for j := i + 1; j < len(leaves); j++ {
-			t1 := q.RemoveLeaf(leaves[i])
-			t2 := q.RemoveLeaf(leaves[j])
-			common := removeTwo(q, leaves[i], leaves[j])
-			d := decomposition{
-				t1: t1, t2: t2, common: common,
-				t1Key: t1.Key(), t2Key: t2.Key(), commonKey: common.Key(),
-			}
-			lo, hi := d.t1Key, d.t2Key
-			if hi < lo {
-				lo, hi = hi, lo
-			}
-			d.sig = decompSig{lo: lo, hi: hi, common: d.commonKey}
-			out = append(out, d)
+			out = append(out, decomposition{
+				u: leaves[i], v: leaves[j],
+				t1Key: single[i], t2Key: single[j],
+				commonKey: q.KeyWithout(leaves[i], leaves[j]),
+			})
 		}
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].sig.less(out[b].sig) })
+	slices.SortFunc(out, func(a, b decomposition) int { return a.sig().cmp(b.sig()) })
 	return out
-}
-
-// removeTwo removes two degree-1 nodes from q at once.
-func removeTwo(q labeltree.Pattern, u, v int32) labeltree.Pattern {
-	keep := make([]int32, 0, q.Size()-2)
-	for i := int32(0); int(i) < q.Size(); i++ {
-		if i != u && i != v {
-			keep = append(keep, i)
-		}
-	}
-	return q.Subpattern(keep)
 }
 
 // lookup resolves a pattern count against the lattice, falling back to

@@ -54,7 +54,9 @@ func EstimateInterval(sum Store, q labeltree.Pattern) Interval {
 		}
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for _, d := range decompositions(p) {
-			iv1, iv2, ivc := rec(d.t1, d.t1Key), rec(d.t2, d.t2Key), rec(d.common, d.commonKey)
+			iv1 := rec(p.Without(d.u, -1), d.t1Key)
+			iv2 := rec(p.Without(d.v, -1), d.t2Key)
+			ivc := rec(p.Without(d.u, d.v), d.commonKey)
 			plo := 0.0
 			if ivc.Hi > 0 {
 				plo = iv1.Lo * iv2.Lo / ivc.Hi

@@ -58,42 +58,52 @@ func grow(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// encode computes the canonical encoding of every node of p and returns
-// the root's span. The span aliases ks.enc and is valid until the next
-// encode on the same scratch. After encode, each node's child list in
+// encodeWithout computes the canonical encoding of every node of p minus
+// the degree-1 nodes u and v (negative ids remove nothing; see
+// Pattern.Without) and returns the root's span. It encodes the smaller
+// pattern in place: removed nodes are left out of the child lists and
+// skipped, and when the root is removed its only child's span is the
+// result. The span aliases ks.enc and is valid until the next encode on
+// the same scratch. After encodeWithout, each kept node's child list in
 // childIdx is in canonical order (ascending child-encoding bytes, ties in
 // ascending node order), which Canonicalize reuses directly.
-func (ks *keyScratch) encode(p Pattern) []byte {
-	n := len(p.labels)
-	ks.start = grow(ks.start, n)
-	ks.end = grow(ks.end, n)
-	ks.childPos = grow(ks.childPos, n+1)
-	ks.childIdx = grow(ks.childIdx, n)
+func (ks *keyScratch) encodeWithout(p Pattern, u, v int32) []byte {
+	n := int32(len(p.labels))
+	ks.start = grow(ks.start, int(n))
+	ks.end = grow(ks.end, int(n))
+	ks.childPos = grow(ks.childPos, int(n)+1)
+	ks.childIdx = grow(ks.childIdx, int(n))
 	ks.enc = ks.enc[:0]
 
 	// CSR child lists: counts, prefix-sum, fill (ascending j per node).
 	pos := ks.childPos
-	for i := 0; i <= n; i++ {
-		pos[i] = 0
+	clear(pos)
+	for i := int32(1); i < n; i++ {
+		if i != u && i != v {
+			pos[p.parent[i]+1]++
+		}
 	}
-	for i := 1; i < n; i++ {
-		pos[p.parent[i]+1]++
-	}
-	for i := 0; i < n; i++ {
+	for i := int32(0); i < n; i++ {
 		pos[i+1] += pos[i]
 	}
-	fill := ks.childIdx[:n] // reuse as cursor-free fill via second pass
-	next := ks.end          // borrow end as fill cursors before encodings are written
+	fill := ks.childIdx // reuse as cursor-free fill via second pass
+	next := ks.end      // borrow end as fill cursors before encodings are written
 	copy(next, pos[:n])
-	for i := 1; i < n; i++ {
+	for i := int32(1); i < n; i++ {
+		if i == u || i == v {
+			continue
+		}
 		par := p.parent[i]
-		fill[next[par]] = int32(i)
+		fill[next[par]] = i
 		next[par]++
 	}
 
 	// Post-order: parent-before-child numbering means descending index
 	// visits every child before its parent.
 	for i := n - 1; i >= 0; i-- {
+		if i == u || i == v {
+			continue
+		}
 		ks.start[i] = int32(len(ks.enc))
 		ks.enc = binary.AppendUvarint(ks.enc, uint64(p.labels[i]))
 		kids := ks.childIdx[pos[i]:pos[i+1]]
@@ -120,7 +130,11 @@ func (ks *keyScratch) encode(p Pattern) []byte {
 		ks.enc = append(ks.enc, keyEndMark)
 		ks.end[i] = int32(len(ks.enc))
 	}
-	return ks.enc[ks.start[0]:ks.end[0]]
+	root := int32(0)
+	if u == 0 || v == 0 {
+		root = 1 // a removed root's only child
+	}
+	return ks.enc[ks.start[root]:ks.end[root]]
 }
 
 // encLen returns the length of the single node encoding at the start of b.
@@ -139,7 +153,7 @@ func encLen(b []byte) int {
 // comparable map key requires.
 func (p Pattern) AppendKey(buf []byte) []byte {
 	ks := keyScratchPool.Get().(*keyScratch)
-	buf = append(buf, ks.encode(p)...)
+	buf = append(buf, ks.encodeWithout(p, -1, -1)...)
 	keyScratchPool.Put(ks)
 	return buf
 }
@@ -250,7 +264,7 @@ func NewKeyBuilder() *KeyBuilder { return &KeyBuilder{} }
 // ChildKey calls.
 func (kb *KeyBuilder) Reset(p Pattern) {
 	kb.p = p
-	kb.ks.encode(p)
+	kb.ks.encodeWithout(p, -1, -1)
 }
 
 // ChildKey returns kb's base pattern's key after attaching a new leaf

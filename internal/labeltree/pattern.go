@@ -3,6 +3,7 @@ package labeltree
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -180,36 +181,100 @@ func (p Pattern) AddChild(at int32, label LabelID) Pattern {
 // RemoveLeaf returns a copy of p with degree-1 node i removed. Removing an
 // ordinary leaf drops the node; removing a single-child root promotes the
 // child to root. It panics if node i has degree > 1 or p has one node.
-func (p Pattern) RemoveLeaf(i int32) Pattern {
-	if len(p.labels) <= 1 {
-		panic("labeltree: RemoveLeaf on trivial pattern")
+func (p Pattern) RemoveLeaf(i int32) Pattern { return p.Without(i, -1) }
+
+// Without returns a copy of p with the degree-1 nodes u and v removed
+// (v < 0 removes u only). It equals Subpattern of the remaining nodes:
+// removing a single-child root promotes the child to root. Because the
+// removed nodes are leaves or that root, the remaining nodes keep their
+// relative order and the renumbering is a shift, so no set or sort is
+// needed. It panics if a removed node has degree > 1, u == v, or no node
+// would remain.
+func (p Pattern) Without(u, v int32) Pattern {
+	p.checkRemovable(u, v)
+	n := int32(len(p.labels))
+	m := int32(1)
+	if v >= 0 {
+		m = 2
 	}
-	counts := p.ChildCounts()
+	// LabelID is an int32: one allocation backs both arrays.
+	buf := make([]int32, 0, 2*(n-m))
+	labels, parent := buf[:0:n-m], buf[n-m:n-m]
+	for i := int32(0); i < n; i++ {
+		if i == u || i == v {
+			continue
+		}
+		labels = append(labels, p.labels[i])
+		par := p.parent[i]
+		if par < 0 || par == u || par == v {
+			// The kept root, or the child of a removed root.
+			parent = append(parent, -1)
+			continue
+		}
+		np := par
+		if u < par {
+			np--
+		}
+		if v >= 0 && v < par {
+			np--
+		}
+		parent = append(parent, np)
+	}
+	return Pattern{labels: labels, parent: parent}
+}
+
+// checkRemovable panics unless u (and v, when v >= 0) are distinct
+// degree-1 nodes of p whose removal leaves at least one node.
+func (p Pattern) checkRemovable(u, v int32) {
+	n := int32(len(p.labels))
+	if u < 0 || u >= n || v >= n || u == v {
+		panic("labeltree: removed node out of range")
+	}
+	if n <= 1 || (v >= 0 && n <= 2) {
+		panic("labeltree: removal leaves a trivial pattern")
+	}
+	var ku, kv int
+	for j := int32(1); j < n; j++ {
+		switch p.parent[j] {
+		case u:
+			ku++
+		case v:
+			kv++
+		}
+	}
+	checkDegree1(u, ku)
+	if v >= 0 {
+		checkDegree1(v, kv)
+	}
+}
+
+// checkDegree1 panics unless node i with the given child count has
+// degree 1: a leaf, or a root with exactly one child.
+func checkDegree1(i int32, kids int) {
 	if i == 0 {
-		if counts[0] != 1 {
-			panic("labeltree: RemoveLeaf on branching root")
+		if kids != 1 {
+			panic("labeltree: removing a branching root")
 		}
-	} else if counts[i] != 0 {
-		panic("labeltree: RemoveLeaf on internal node")
+	} else if kids != 0 {
+		panic("labeltree: removing an internal node")
 	}
-	keep := make([]int32, 0, len(p.labels)-1)
-	for j := int32(0); int(j) < len(p.labels); j++ {
-		if j != i {
-			keep = append(keep, j)
-		}
-	}
-	return p.Subpattern(keep)
 }
 
 // Subpattern extracts the pattern induced by the given nodes, which must
 // form a connected subtree of p. Nodes may be in any order; the result is
 // renumbered parent-before-child.
 func (p Pattern) Subpattern(nodes []int32) Pattern {
-	inSet := make(map[int32]int32, len(nodes))
-	ordered := append([]int32(nil), nodes...)
-	sort.Slice(ordered, func(a, b int) bool { return ordered[a] < ordered[b] })
+	// One buffer holds the ascending node list and the old→new index
+	// remap (-1 outside the set).
+	buf := make([]int32, len(nodes)+len(p.labels))
+	ordered, remap := buf[:len(nodes)], buf[len(nodes):]
+	copy(ordered, nodes)
+	slices.Sort(ordered)
+	for i := range remap {
+		remap[i] = -1
+	}
 	for newIdx, old := range ordered {
-		inSet[old] = int32(newIdx)
+		remap[old] = int32(newIdx)
 	}
 	labels := make([]LabelID, len(ordered))
 	parent := make([]int32, len(ordered))
@@ -217,13 +282,7 @@ func (p Pattern) Subpattern(nodes []int32) Pattern {
 	for newIdx, old := range ordered {
 		labels[newIdx] = p.labels[old]
 		par := p.parent[old]
-		if par < 0 {
-			parent[newIdx] = -1
-			rootSeen = true
-			continue
-		}
-		np, ok := inSet[par]
-		if !ok {
+		if par < 0 || remap[par] < 0 {
 			if rootSeen {
 				panic("labeltree: Subpattern nodes are not connected")
 			}
@@ -231,7 +290,7 @@ func (p Pattern) Subpattern(nodes []int32) Pattern {
 			rootSeen = true
 			continue
 		}
-		parent[newIdx] = np
+		parent[newIdx] = remap[par]
 	}
 	if !rootSeen {
 		panic("labeltree: Subpattern has no root")
@@ -268,8 +327,19 @@ func (p Pattern) Preorder() []int32 {
 // every node's child encodings appear sorted, making sibling order
 // irrelevant. Two patterns have equal keys iff they are isomorphic.
 func (p Pattern) Key() Key {
+	return p.KeyWithout(-1, -1)
+}
+
+// KeyWithout returns the canonical key of p with the degree-1 nodes u and
+// v removed (v < 0 removes u only; u < 0 removes nothing): it equals
+// p.Without(u, v).Key() without building the smaller pattern. When the
+// root is removed, the result is the encoding of its only child.
+func (p Pattern) KeyWithout(u, v int32) Key {
+	if u >= 0 || v >= 0 {
+		p.checkRemovable(u, v)
+	}
 	ks := keyScratchPool.Get().(*keyScratch)
-	k := Key(ks.encode(p))
+	k := Key(ks.encodeWithout(p, u, v))
 	keyScratchPool.Put(ks)
 	return k
 }
@@ -286,7 +356,7 @@ func encodeLabel(l LabelID) string { return fmt.Sprintf("%d.", l) }
 func (p Pattern) Canonicalize() Pattern {
 	n := len(p.labels)
 	ks := keyScratchPool.Get().(*keyScratch)
-	ks.encode(p) // leaves every node's child list in canonical order
+	ks.encodeWithout(p, -1, -1) // leaves every node's child list in canonical order
 	labels := make([]LabelID, 0, n)
 	parent := make([]int32, 0, n)
 	type frame struct{ old, newParent int32 }
@@ -314,7 +384,7 @@ func (p Pattern) Equal(q Pattern) bool {
 	}
 	ks1 := keyScratchPool.Get().(*keyScratch)
 	ks2 := keyScratchPool.Get().(*keyScratch)
-	eq := bytes.Equal(ks1.encode(p), ks2.encode(q))
+	eq := bytes.Equal(ks1.encodeWithout(p, -1, -1), ks2.encodeWithout(q, -1, -1))
 	keyScratchPool.Put(ks1)
 	keyScratchPool.Put(ks2)
 	return eq
