@@ -61,9 +61,7 @@ race:
 # adding the accuracy×latency matrix (q-error vs exact counts, per-method
 # throughput, ensemble divergence counts) to the report. -tenants drives
 # the workload round-robin through the multi-tenant /v1/t routes.
-# -backends reloads the summary through both snapshot
-# forms (frozen TLAT, compressed TLCZ) and adds the size×throughput
-# comparison. -ingest runs a mixed read/write pass — readers estimating
+# -ingest runs a mixed read/write pass — readers estimating
 # while a writer streams documents through the zero-downtime ingest
 # pipeline with sub-second refreezes — and adds its read latency and
 # write/backpressure counts. -query adds the plan-vs-naive twig
@@ -74,7 +72,7 @@ race:
 bench:
 	$(GO) run ./cmd/treelattice loadbench -gen xmark -scale 20000 \
 		-duration 3s -warmup 500ms -seed 1 -batch 32 -methods all \
-		-tenants 2 -backends -ingest -query \
+		-tenants 2 -ingest -query \
 		-out BENCH_serve.json
 
 # benchcore is the build/estimate-path counterpart of `make bench`: it

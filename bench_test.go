@@ -257,62 +257,27 @@ func BenchmarkFigure9ResponseTime(b *testing.B) {
 	}
 }
 
-// BenchmarkFrozenLookup compares point lookups on the map-backed summary
-// against the frozen read-optimized store over the same entries. The
-// frozen store's open-addressing probe over a flat arena should match or
-// beat the map on time and do zero allocations per lookup.
-func BenchmarkFrozenLookup(b *testing.B) {
-	e := benchEnv(b, datagen.NASA)
-	lat := e.Summary.Lattice()
-	frozen := lattice.Freeze(lat)
-	keys := make([]labeltree.Key, 0, lat.Len())
-	for _, entry := range lat.Entries(0) {
-		keys = append(keys, entry.Pattern.Key())
-	}
-	b.Run("map", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, ok := lat.CountKey(keys[i%len(keys)]); !ok {
-				b.Fatal("miss")
-			}
-		}
-	})
-	b.Run("frozen", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, ok := frozen.CountKey(keys[i%len(keys)]); !ok {
-				b.Fatal("miss")
-			}
-		}
-	})
-}
-
-// BenchmarkCompressedLookup compares point lookups across all three
-// store backends per dataset: the map-backed summary, the frozen
-// open-addressing store, and the compressed front-coded store. The
-// compressed rows also report the resident footprint and the
-// frozen/compressed compression ratio — the space×time trade the
-// compressed backend exists for. Both immutable stores must do zero
-// allocations per lookup.
+// BenchmarkCompressedLookup compares point lookups on the map-backed
+// summary against the compressed front-coded store over the same
+// entries, per dataset. The compressed rows also report the resident
+// footprint; the store must do zero allocations per lookup.
 func BenchmarkCompressedLookup(b *testing.B) {
 	for _, p := range datagen.AllProfiles() {
 		b.Run(string(p), func(b *testing.B) {
 			e := benchEnv(b, p)
 			lat := e.Summary.Lattice()
-			frozen := lattice.Freeze(lat)
 			comp := lattice.Compress(lat)
 			keys := make([]labeltree.Key, 0, lat.Len())
 			for _, entry := range lat.Entries(0) {
 				keys = append(keys, entry.Pattern.Key())
 			}
-			b.Run("frozen", func(b *testing.B) {
+			b.Run("map", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, ok := frozen.CountKey(keys[i%len(keys)]); !ok {
+					if _, ok := lat.CountKey(keys[i%len(keys)]); !ok {
 						b.Fatal("miss")
 					}
 				}
-				b.ReportMetric(float64(frozen.ResidentBytes()), "resident-bytes")
 			})
 			b.Run("compressed", func(b *testing.B) {
 				b.ReportAllocs()
@@ -322,58 +287,23 @@ func BenchmarkCompressedLookup(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(comp.ResidentBytes()), "resident-bytes")
-				b.ReportMetric(float64(frozen.ResidentBytes())/float64(comp.ResidentBytes()), "compression-ratio")
 			})
 		})
 	}
 }
 
-// BenchmarkFigure9ResponseTimeFrozen is Figure 9 over the frozen store
-// with a warm shared sub-estimate cache per method — the serving-replica
-// configuration. Estimates are bit-identical to the map-backed rows (see
-// the differential tests); only the response time should move.
-func BenchmarkFigure9ResponseTimeFrozen(b *testing.B) {
-	e := benchEnv(b, datagen.XMark)
-	frozen := lattice.Freeze(e.Summary.Lattice())
-	ests := map[string]func(labeltree.Pattern) float64{
-		"recursive":        (&estimate.Recursive{Sum: frozen, Cache: estimate.NewSubCache(0)}).Estimate,
-		"recursive-voting": (&estimate.Recursive{Sum: frozen, Voting: true, Cache: estimate.NewSubCache(0)}).Estimate,
-		"fix-sized":        (&estimate.FixSized{Sum: frozen, Cache: estimate.NewSubCache(0)}).Estimate,
-	}
-	for _, name := range []string{"recursive", "recursive-voting", "fix-sized"} {
-		fn := ests[name]
-		for _, size := range []int{4, 6, 8} {
-			qs := e.Positive[size]
-			if len(qs) == 0 {
-				continue
-			}
-			// Warm the shared cache the way sustained serving traffic would.
-			for _, q := range qs {
-				fn(q.Pattern)
-			}
-			b.Run(fmt.Sprintf("%s/size%d", name, size), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					fn(qs[i%len(qs)].Pattern)
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkFigure9ResponseTimeCompressed is Figure 9 over the compressed
-// store with a warm shared sub-estimate cache per method — the
-// byte-budgeted serving-replica configuration. Estimates stay
-// bit-identical to the map-backed and frozen rows (see the differential
-// tests); the compressed rows trade some lookup time for a 3×+ smaller
-// resident summary.
+// store, the one read-only backend, under the same conditions as the
+// map-backed rows of BenchmarkFigure9ResponseTime: no shared
+// sub-estimate cache, so the rows differ only in the store. Estimates
+// are bit-identical to the map-backed rows (see the differential tests).
 func BenchmarkFigure9ResponseTimeCompressed(b *testing.B) {
 	e := benchEnv(b, datagen.XMark)
 	comp := lattice.Compress(e.Summary.Lattice())
 	ests := map[string]func(labeltree.Pattern) float64{
-		"recursive":        (&estimate.Recursive{Sum: comp, Cache: estimate.NewSubCache(0)}).Estimate,
-		"recursive-voting": (&estimate.Recursive{Sum: comp, Voting: true, Cache: estimate.NewSubCache(0)}).Estimate,
-		"fix-sized":        (&estimate.FixSized{Sum: comp, Cache: estimate.NewSubCache(0)}).Estimate,
+		"recursive":        estimate.NewRecursive(comp, false).Estimate,
+		"recursive-voting": estimate.NewRecursive(comp, true).Estimate,
+		"fix-sized":        estimate.NewFixSized(comp).Estimate,
 	}
 	for _, name := range []string{"recursive", "recursive-voting", "fix-sized"} {
 		fn := ests[name]
@@ -381,10 +311,6 @@ func BenchmarkFigure9ResponseTimeCompressed(b *testing.B) {
 			qs := e.Positive[size]
 			if len(qs) == 0 {
 				continue
-			}
-			// Warm the shared cache the way sustained serving traffic would.
-			for _, q := range qs {
-				fn(q.Pattern)
 			}
 			b.Run(fmt.Sprintf("%s/size%d", name, size), func(b *testing.B) {
 				b.ReportAllocs()
@@ -678,17 +604,6 @@ func BenchmarkTwigJoinExecution(b *testing.B) {
 			}
 		})
 	}
-	labels := []labeltree.LabelID{}
-	for _, n := range []string{"site", "open_auctions", "open_auction", "bidder"} {
-		if id, ok := e.Dict.Lookup(n); ok {
-			labels = append(labels, id)
-		}
-	}
-	b.Run("pathstack", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			twigjoin.CountPath(x, labels, twigjoin.Child)
-		}
-	})
 }
 
 // BenchmarkPlannerVsNaive measures scanned candidates for planned versus

@@ -256,7 +256,7 @@ func runServe(args []string, stdout io.Writer) error {
 	dir := fs.String("corpus", "", "corpus directory")
 	addr := fs.String("addr", "127.0.0.1:8357", "listen address")
 	workers := fs.Int("workers", 0, "upload mining parallelism (0 = all CPUs)")
-	frozen := fs.Bool("frozen", false, "serve a read-only replica: load the summary in the frozen representation (zero-allocation lookups; document mutations answer 409)")
+	frozen := fs.Bool("frozen", false, "serve a read-only replica: load the summary snapshot into the compressed store (zero-allocation lookups; document mutations answer 409)")
 	debugAddr := fs.String("debug-addr", "", "separate listen address for pprof/expvar/metrics (off when empty)")
 	fleetRoot := fs.String("fleet", "", "fleet root directory holding tenant snapshot subdirectories; enables /v1/t/{tenant} routes beyond the default tenant")
 	maxResident := fs.Int("max-resident", 0, "max lazily-loaded tenants resident at once (0 = default)")

@@ -46,11 +46,6 @@ type benchReport struct {
 	// registry, per-tenant quotas, and per-tenant metrics sit on the
 	// measured path.
 	TenantResult *loadgen.Result `json:"tenant_result,omitempty"`
-	// Backends is the -backends comparison: the corpus summary snapshotted
-	// in each on-disk form, reloaded through the serving path, and driven
-	// in-process over the same workload — snapshot size, resident bytes,
-	// and lookup throughput side by side.
-	Backends []backendReport `json:"backends,omitempty"`
 	// Ingest is the -ingest mixed read/write run: the same estimate
 	// workload driven against an ingest-enabled copy of the corpus while
 	// a writer streams document uploads through the delta/epoch pipeline,
@@ -74,18 +69,6 @@ type ingestReport struct {
 	WriteErrors   int              `json:"write_errors"`
 	Backpressured int              `json:"backpressured_429"`
 	Stats         core.IngestStats `json:"stats"`
-}
-
-// backendReport is one row of the frozen-vs-compressed backend matrix.
-type backendReport struct {
-	Backend       string  `json:"backend"`
-	SnapshotBytes int64   `json:"snapshot_bytes"`
-	ResidentBytes int     `json:"resident_bytes"`
-	AchievedQPS   float64 `json:"achieved_qps"`
-	P50ms         float64 `json:"p50_ms"`
-	P95ms         float64 `json:"p95_ms"`
-	P99ms         float64 `json:"p99_ms"`
-	Errors        uint64  `json:"errors,omitempty"`
 }
 
 // methodReport is one row of the accuracy×latency matrix.
@@ -150,7 +133,6 @@ func runLoadbench(args []string, stdout io.Writer) error {
 	seed := fs.Int64("seed", 1, "workload generation seed (same seed = same mix)")
 	methodsSpec := fs.String("methods", "", `sweep these estimation methods in-process ("all" or a comma list), adding a per-method accuracy×latency matrix to the report`)
 	tenants := fs.Int("tenants", 0, "also drive the workload round-robin across this many tenants' /v1/t/{tenant}/estimate routes (default in-process server only)")
-	backends := fs.Bool("backends", false, "also compare the frozen and compressed snapshot backends in-process over the same workload, adding a size×throughput matrix to the report")
 	queryMatrix := fs.Bool("query", false, "also run the plan-vs-naive twig execution matrix over the Table 3 datasets (nasa, imdb, psd, xmark), adding a query_plan section to the report; with the default in-process server, additionally drives a count-only /v1/query mix over HTTP")
 	queryScale := fs.Int("queryscale", 20000, "approximate element count of each -query dataset document")
 	queryPasses := fs.Int("querypasses", 3, "timed repetitions of the -query execution loop")
@@ -240,7 +222,7 @@ func runLoadbench(args []string, stdout io.Writer) error {
 	default:
 		var sopts serve.Options
 		// -tenants: materialize a throwaway fleet root of N tenants, each
-		// holding the corpus summary as a frozen snapshot, so the tenant
+		// holding the corpus summary as a TLAT snapshot, so the tenant
 		// routes resolve through the real registry load path.
 		var tenantNames []string
 		if *tenants > 0 {
@@ -352,17 +334,6 @@ func runLoadbench(args []string, stdout io.Writer) error {
 		}
 	}
 
-	// Backend comparison: one row per snapshot form, reloaded through the
-	// format-sniffing serving path and driven in-process.
-	var backendRows []backendReport
-	if *backends {
-		backendRows, err = sweepBackends(context.Background(), c, w,
-			core.Method(*method), *concurrency, *sweepRequests, stdout)
-		if err != nil {
-			return err
-		}
-	}
-
 	// Mixed read/write pass: ingest-enabled copy of the corpus, estimates
 	// and document uploads concurrently through the full HTTP path.
 	var ingestRep *ingestReport
@@ -408,7 +379,6 @@ func runLoadbench(args []string, stdout io.Writer) error {
 		BatchResult:  batchRes,
 		Methods:      methodRows,
 		TenantResult: tenantRes,
-		Backends:     backendRows,
 		Ingest:       ingestRep,
 		QueryPlan:    queryPlan,
 	}
@@ -512,75 +482,6 @@ func sweepMethods(ctx context.Context, c *corpus.Corpus, trees []*labeltree.Tree
 			line += fmt.Sprintf("  divergent %d/%d", acc.Divergent, acc.Checked)
 		}
 		fmt.Fprintln(stdout, line)
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// sweepBackends snapshots the corpus summary in each on-disk form (TLAT
-// frozen, TLCZ compressed), reloads it through core.OpenSnapshotFile —
-// the same magic-sniffing path serving replicas use — and drives the
-// workload in-process against each, producing the report's backend
-// matrix. Snapshots load against the corpus dictionary so the workload's
-// already-parsed queries stay valid.
-func sweepBackends(ctx context.Context, c *corpus.Corpus, w *loadgen.Workload, method core.Method, concurrency, requests int, stdout io.Writer) ([]backendReport, error) {
-	tmp, err := os.MkdirTemp("", "loadbench-backend-*")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(tmp)
-	sum := c.Summary()
-	kinds := []struct {
-		name  string
-		write func(io.Writer) (int64, error)
-	}{
-		{"frozen", sum.WriteTo},
-		{"compressed", sum.WriteCompressed},
-	}
-	rows := make([]backendReport, 0, len(kinds))
-	for _, kind := range kinds {
-		path := filepath.Join(tmp, "summary-"+kind.name+".tlat")
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := kind.write(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, err
-		}
-		info, err := os.Stat(path)
-		if err != nil {
-			return nil, err
-		}
-		loaded, err := core.OpenSnapshotFile(path, c.Dict())
-		if err != nil {
-			return nil, fmt.Errorf("loadbench: reloading %s snapshot: %w", kind.name, err)
-		}
-		target, err := loadgen.NewEstimatorTarget(loaded, method)
-		if err != nil {
-			return nil, err
-		}
-		res, err := loadgen.Run(ctx, target, w, loadgen.Options{
-			Concurrency: concurrency, Requests: requests,
-		})
-		if err != nil {
-			return nil, err
-		}
-		row := backendReport{
-			Backend:       loaded.StoreKind(),
-			SnapshotBytes: info.Size(),
-			ResidentBytes: loaded.ResidentBytes(),
-			AchievedQPS:   res.AchievedQPS,
-			P50ms:         res.Latency.P50 * 1e3,
-			P95ms:         res.Latency.P95 * 1e3,
-			P99ms:         res.Latency.P99 * 1e3,
-			Errors:        res.Errors,
-		}
-		fmt.Fprintf(stdout, "backend %-10s %9.0f req/s  p50=%.3fms p95=%.3fms  snapshot=%dB resident=%dB\n",
-			row.Backend, row.AchievedQPS, row.P50ms, row.P95ms, row.SnapshotBytes, row.ResidentBytes)
 		rows = append(rows, row)
 	}
 	return rows, nil
@@ -800,7 +701,7 @@ func scrapeHTTPMetrics(base string) (*obs.Snapshot, error) {
 }
 
 // writeTenantFleet materializes n tenants under root, each holding the
-// summary as a frozen snapshot, and returns their names — a fleet root
+// summary as a TLAT snapshot, and returns their names — a fleet root
 // the serve registry can lazily load from.
 func writeTenantFleet(root string, sum *core.Summary, n int) ([]string, error) {
 	names := make([]string, 0, n)

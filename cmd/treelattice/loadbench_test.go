@@ -114,8 +114,8 @@ func TestLoadbenchInprocAndSeed(t *testing.T) {
 
 // TestLoadbenchTenantsAndBackends covers the fleet additions to the
 // report schema: the -tenants round-robin mix over the /v1/t routes,
-// including the per-tenant counters the server publishes, and the
-// -backends frozen-vs-compressed matrix.
+// whose tenants load from TLAT snapshots through the registry, including
+// the per-tenant counters the server publishes.
 func TestLoadbenchTenantsAndBackends(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "BENCH_serve.json")
 	var buf bytes.Buffer
@@ -123,7 +123,7 @@ func TestLoadbenchTenantsAndBackends(t *testing.T) {
 		"-gen", "psd", "-scale", "1500", "-k", "3",
 		"-requests", "60", "-warmup", "0s", "-concurrency", "2",
 		"-sizes", "3", "-persize", "8", "-seed", "5",
-		"-tenants", "2", "-backends", "-sweeprequests", "40",
+		"-tenants", "2",
 		"-out", out,
 	}, &buf)
 	if err != nil {
@@ -142,32 +142,6 @@ func TestLoadbenchTenantsAndBackends(t *testing.T) {
 	}
 	if r.Config.Tenants != 2 {
 		t.Errorf("tenants config not recorded: %+v", r.Config)
-	}
-	// The backend matrix: one frozen and one compressed row over the same
-	// workload, with the compressed snapshot both smaller on disk and
-	// smaller resident.
-	if len(r.Backends) != 2 {
-		t.Fatalf("backends rows = %d, want 2\n%s", len(r.Backends), buf.String())
-	}
-	froz, comp := r.Backends[0], r.Backends[1]
-	if froz.Backend != "frozen" || comp.Backend != "compressed" {
-		t.Fatalf("backend rows mislabeled: %q, %q", froz.Backend, comp.Backend)
-	}
-	for _, row := range r.Backends {
-		if row.AchievedQPS <= 0 || row.Errors != 0 {
-			t.Errorf("backend %s not measured cleanly: %+v", row.Backend, row)
-		}
-		if row.SnapshotBytes <= 0 || row.ResidentBytes <= 0 {
-			t.Errorf("backend %s missing size accounting: %+v", row.Backend, row)
-		}
-	}
-	// Disk sizes are reported, not compared: the TLAT stream is already
-	// uvarint-compact, and at test scale TLCZ's fixed header and fence
-	// sections can outweigh the front-coding. The resident footprint is
-	// where the compressed backend must win.
-	if comp.ResidentBytes >= froz.ResidentBytes {
-		t.Errorf("compressed resident %d B not smaller than frozen %d B",
-			comp.ResidentBytes, froz.ResidentBytes)
 	}
 
 	// The tenant mix ran through the real registry: per-tenant counters

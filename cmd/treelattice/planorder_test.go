@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -76,9 +77,9 @@ func assertPlanOrderSame(t *testing.T, sum *core.Summary, qs []twigjoin.Query, l
 // TestPlanOrderDifferential is the executor's correctness gate for
 // planner-driven bind orders: on every Table 3 profile, the
 // planner-chosen order must produce bit-identical match sets and counts
-// to the stored-numbering baseline — on the map-backed lattice, after
-// Freeze (TLAT snapshot store), after Compress (TLCZ store), and again
-// on the fresh epoch summary published by a zero-downtime ingest
+// to the stored-numbering baseline — on the map-backed lattice, on the
+// summary reloaded read-only from its TLAT snapshot, after Compress, and
+// again on the fresh epoch summary published by a zero-downtime ingest
 // refreeze. The backends drive different estimate plumbing into the
 // planner; none of them may change an answer.
 func TestPlanOrderDifferential(t *testing.T) {
@@ -99,8 +100,16 @@ func TestPlanOrderDifferential(t *testing.T) {
 			}
 
 			assertPlanOrderSame(t, sum, qs, "map")
-			sum.Freeze()
-			assertPlanOrderSame(t, sum, qs, "frozen")
+			var tlat bytes.Buffer
+			if _, err := sum.WriteTo(&tlat); err != nil {
+				t.Fatal(err)
+			}
+			ro, err := core.ReadFrozen(&tlat, c.Dict())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ro.BindSource(c)
+			assertPlanOrderSame(t, ro, qs, "tlat")
 			sum.Compress()
 			assertPlanOrderSame(t, sum, qs, "compressed")
 

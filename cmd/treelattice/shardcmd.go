@@ -13,7 +13,7 @@ import (
 	"treelattice/internal/fsx"
 )
 
-// runShard splits a corpus into N shard summaries and writes one frozen
+// runShard splits a corpus into N shard summaries and writes one
 // snapshot file per shard into a tenant directory, ready for the fleet
 // registry (`treelattice serve -fleet`). Document→shard assignment is
 // deterministic (FNV over the document name), so re-sharding the same
@@ -27,7 +27,7 @@ func runShard(args []string, stdout io.Writer) error {
 	n := fs.Int("n", 4, "number of shards")
 	workers := fs.Int("workers", 0, "build parallelism (0 = all CPUs)")
 	compress := fs.Bool("compress", false,
-		"write compressed (TLCZ) snapshots instead of frozen (TLAT); loaders detect the format by magic")
+		"write compressed (TLCZ) snapshots instead of TLAT; loaders detect the format by magic")
 	fs.Parse(args)
 	if *dir == "" || *out == "" {
 		return fmt.Errorf("shard: -corpus and -out are required")

@@ -137,8 +137,9 @@ func TestFrozenSummaryEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frozen.Mutable() || !frozen.FrozenStore() {
-		t.Fatalf("frozen summary: Mutable=%v FrozenStore=%v", frozen.Mutable(), frozen.FrozenStore())
+	if frozen.Mutable() || !frozen.FrozenStore() || frozen.StoreKind() != "compressed" {
+		t.Fatalf("frozen summary: Mutable=%v FrozenStore=%v StoreKind=%q",
+			frozen.Mutable(), frozen.FrozenStore(), frozen.StoreKind())
 	}
 	if frozen.K() != sum.K() || frozen.Patterns() != sum.Patterns() || frozen.SizeBytes() != sum.SizeBytes() {
 		t.Fatal("frozen summary header diverges")
@@ -206,13 +207,14 @@ func TestFrozenSummaryRejectsMutation(t *testing.T) {
 	}
 }
 
-// TestFreezeTracksMutation: a frozen snapshot on a mutable summary is
-// refreshed by mutations, so reads never see stale counts.
+// TestFreezeTracksMutation: a read-only snapshot installed on a mutable
+// summary (Compress, as the ingest refreeze does) is refreshed by
+// mutations, so reads never see stale counts.
 func TestFreezeTracksMutation(t *testing.T) {
 	sum, _, dict := buildSample(t, 3)
-	sum.Freeze()
+	sum.Compress()
 	if !sum.FrozenStore() || !sum.Mutable() {
-		t.Fatalf("after Freeze: FrozenStore=%v Mutable=%v", sum.FrozenStore(), sum.Mutable())
+		t.Fatalf("after Compress: FrozenStore=%v Mutable=%v", sum.FrozenStore(), sum.Mutable())
 	}
 	q, err := sum.ParseQuery("laptop(brand,price)")
 	if err != nil {
@@ -234,7 +236,7 @@ func TestFreezeTracksMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if after != before+1 {
-		t.Fatalf("frozen store stale after AddTree: before=%v after=%v", before, after)
+		t.Fatalf("compressed store stale after AddTree: before=%v after=%v", before, after)
 	}
 }
 

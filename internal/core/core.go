@@ -75,21 +75,19 @@ type EstimateObserver func(method Method, d time.Duration)
 
 // Summary is a TreeLattice summary of one or more documents.
 //
-// A summary has up to three backends: the map-backed lattice (mutable;
-// built by mining), an optional frozen snapshot (immutable, flat
-// arena + open addressing; see lattice.Frozen), and an optional
-// compressed snapshot (immutable, front-coded sorted blocks; see
-// lattice.Compressed). Freeze or Compress installs the respective
-// snapshot and routes all estimates through it; a summary loaded with
-// ReadFrozen or ReadCompressed has only that snapshot and rejects every
-// mutation with ErrFrozenSummary. All backends answer identically, so
-// switching is purely a space/speed decision.
+// A summary has up to two backends: the map-backed lattice (mutable;
+// built by mining) and an optional read-only snapshot (immutable,
+// front-coded sorted blocks; see lattice.Compressed). Compress installs
+// the snapshot and routes all estimates through it; a summary loaded
+// with ReadFrozen, ReadCompressed or OpenSnapshotFile has only the
+// snapshot and rejects every mutation with ErrFrozenSummary. Both
+// backends answer identically, so switching is purely a space/speed
+// decision.
 type Summary struct {
-	lat    *lattice.Summary    // nil when loaded snapshot-only
-	frozen *lattice.Frozen     // nil until Freeze or ReadFrozen
-	comp   *lattice.Compressed // nil until Compress or ReadCompressed
-	multi  estimate.Store      // set by FromShards: summing view over shard stores
-	dict   *labeltree.Dict
+	lat   *lattice.Summary    // nil when loaded snapshot-only
+	comp  *lattice.Compressed // nil until Compress or a snapshot load
+	multi estimate.Store      // set by FromShards: summing view over shard stores
+	dict  *labeltree.Dict
 	// observe, when non-nil, is called with the latency of every estimate
 	// issued through Estimator or EstimateWithTrace. Set once via
 	// Instrument before the summary sees concurrent traffic.
@@ -257,7 +255,7 @@ func FromLattice(lat *lattice.Summary) *Summary {
 
 // store returns the backend estimates read from: the shard-combining
 // view when built with FromShards, else the compressed snapshot, else
-// the frozen snapshot, else the map-backed lattice.
+// the map-backed lattice.
 func (s *Summary) store() estimate.Store {
 	if s.multi != nil {
 		return s.multi
@@ -265,29 +263,14 @@ func (s *Summary) store() estimate.Store {
 	if s.comp != nil {
 		return s.comp
 	}
-	if s.frozen != nil {
-		return s.frozen
-	}
 	return s.lat
 }
 
 // sized is implemented by every store backend that can report its
-// accounted storage size and entry count (all three can).
+// accounted storage size and entry count (both can).
 type sized interface {
 	SizeBytes() int
 	Len() int
-}
-
-// Freeze installs (or refreshes) a read-optimized snapshot of the
-// summary and routes subsequent estimates through it. The summary stays
-// mutable; mutations refresh the snapshot automatically. Freezing an
-// already frozen-only summary is a no-op.
-func (s *Summary) Freeze() {
-	if s.lat != nil {
-		s.frozen = lattice.Freeze(s.lat)
-		// Prepared backends hold the previous store; rebind lazily.
-		s.invalidatePrepared()
-	}
 }
 
 // Compress installs (or refreshes) a compressed read-only snapshot of
@@ -297,18 +280,19 @@ func (s *Summary) Freeze() {
 func (s *Summary) Compress() {
 	if s.lat != nil {
 		s.comp = lattice.Compress(s.lat)
+		// Prepared backends hold the previous store; rebind lazily.
 		s.invalidatePrepared()
 	}
 }
 
 // Mutable reports whether the summary can accept mutations (AddTree,
-// RemoveTree, MergeSummary). Summaries loaded with ReadFrozen or
-// ReadCompressed are not mutable.
+// RemoveTree, MergeSummary). Summaries loaded from a snapshot are not
+// mutable.
 func (s *Summary) Mutable() bool { return s.lat != nil }
 
-// FrozenStore reports whether estimates run against an immutable
-// snapshot (frozen or compressed) rather than the map-backed lattice.
-func (s *Summary) FrozenStore() bool { return s.frozen != nil || s.comp != nil }
+// FrozenStore reports whether estimates run against the immutable
+// compressed snapshot rather than the map-backed lattice.
+func (s *Summary) FrozenStore() bool { return s.comp != nil }
 
 // SubCache returns the shared sub-estimate cache for method, creating it
 // on first use. Safe for concurrent use; the cache is dedicated to this
@@ -374,7 +358,7 @@ func (s *Summary) SubCacheStats() estimate.SubCacheStats {
 
 // invalidateDerived resets every derived read structure after a
 // successful mutation: sub-estimate caches are emptied and an installed
-// frozen snapshot is rebuilt. Callers synchronize mutations against
+// compressed snapshot is rebuilt. Callers synchronize mutations against
 // concurrent estimates themselves (the map-backed lattice is not
 // concurrency-safe under writes to begin with).
 func (s *Summary) invalidateDerived() {
@@ -383,9 +367,6 @@ func (s *Summary) invalidateDerived() {
 		c.Reset()
 	}
 	s.cacheMu.Unlock()
-	if s.frozen != nil && s.lat != nil {
-		s.frozen = lattice.Freeze(s.lat)
-	}
 	if s.comp != nil && s.lat != nil {
 		s.comp = lattice.Compress(s.lat)
 	}
@@ -399,7 +380,7 @@ func (s *Summary) K() int { return s.store().K() }
 func (s *Summary) Dict() *labeltree.Dict { return s.dict }
 
 // Lattice exposes the underlying map-backed lattice summary. It is nil
-// for summaries loaded with ReadFrozen.
+// for summaries loaded from a snapshot.
 func (s *Summary) Lattice() *lattice.Summary { return s.lat }
 
 // SizeBytes is the accounted storage size of the summary.
@@ -705,7 +686,7 @@ func (s *Summary) RemoveTree(t *labeltree.Tree) error {
 
 // Prune returns a copy of the summary without δ-derivable patterns
 // (Section 4.3). delta is a relative tolerance; 0 prunes only patterns
-// whose decomposition estimate is exact. A frozen-only summary is
+// whose decomposition estimate is exact. A snapshot-only summary is
 // returned unchanged: pruning needs the map-backed lattice.
 func (s *Summary) Prune(delta float64) *Summary {
 	if s.lat == nil {
@@ -714,9 +695,9 @@ func (s *Summary) Prune(delta float64) *Summary {
 	return &Summary{lat: estimate.PruneDerivable(s.lat, delta), dict: s.dict}
 }
 
-// WriteTo serializes the summary. Frozen-only summaries were loaded from
-// the serialized form and cannot have changed; re-serializing them is
-// rejected with ErrFrozenSummary.
+// WriteTo serializes the summary. Snapshot-only summaries were loaded
+// from a serialized form and cannot have changed; re-serializing them
+// is rejected with ErrFrozenSummary.
 func (s *Summary) WriteTo(w io.Writer) (int64, error) {
 	if s.lat == nil {
 		return 0, fmt.Errorf("%w: cannot serialize", ErrFrozenSummary)
@@ -734,15 +715,15 @@ func Read(r io.Reader, dict *labeltree.Dict) (*Summary, error) {
 	return &Summary{lat: lat, dict: dict}, nil
 }
 
-// ReadFrozen deserializes a summary straight into the read-optimized
-// frozen representation, never materializing the map backend. The result
-// serves estimates (typically faster, with zero-allocation lookups) but
+// ReadFrozen deserializes a TLAT summary straight into the compressed
+// read-only store (lattice.ReadFrozen), never materializing the map
+// backend. The result serves estimates with zero-allocation lookups but
 // rejects every mutation with ErrFrozenSummary — the load path for
 // read-only serving replicas.
 func ReadFrozen(r io.Reader, dict *labeltree.Dict) (*Summary, error) {
-	f, err := lattice.ReadFrozen(r, dict)
+	c, err := lattice.ReadFrozen(r, dict)
 	if err != nil {
 		return nil, err
 	}
-	return &Summary{frozen: f, dict: dict}, nil
+	return &Summary{comp: c, dict: dict}, nil
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // This file is the RCU epoch seam of the zero-downtime ingest pipeline.
-// An Epoch is one immutable serving state: a base summary (frozen,
-// compressed, or map-backed), the delta overlay of documents ingested
+// An Epoch is one immutable serving state: a base summary (compressed
+// or map-backed), the delta overlay of documents ingested
 // since the base was cut, and the document snapshot backing
 // document-driven estimators. Writers publish a fresh Epoch per change
 // through an atomic pointer swap; readers load the pointer once per
@@ -148,7 +148,7 @@ type IngestStats struct {
 }
 
 // entriesStore is the backend surface Materialize needs: every
-// single-store backend (map, frozen, compressed) can enumerate its
+// single-store backend (map, compressed) can enumerate its
 // entries with decoded patterns.
 type entriesStore interface {
 	Entries(size int) []lattice.Entry
@@ -157,7 +157,7 @@ type entriesStore interface {
 }
 
 // Materialize returns a mutable map-backed copy of the summary's
-// counts — the refreeze path's way back from a frozen or compressed
+// counts — the refreeze path's way back from a compressed
 // base to a lattice it can fold a delta into. Shard-combined summaries
 // cannot materialize (shards are rebuilt, not edited), and pruned
 // summaries must not (missing patterns are derivable, not absent; a

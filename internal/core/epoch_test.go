@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -91,10 +92,12 @@ func epochNames(n int) []string {
 // TestEpochDifferentialIdentity is the acceptance check: an epoch
 // serving (base + delta) answers every registered estimator
 // bit-identically to a from-scratch rebuild over the union forest, for
-// map, frozen, and compressed base backends. Counts are additive across
-// documents, so the merged store is pointwise equal to the rebuilt one
-// and every estimator — a deterministic function of the store and the
-// (identically ordered) document source — must agree exactly.
+// a map base, a base loaded read-only from its TLAT snapshot ("frozen",
+// the replica shape), and a base with an installed compressed snapshot.
+// Counts are additive across documents, so the merged store is
+// pointwise equal to the rebuilt one and every estimator — a
+// deterministic function of the store and the (identically ordered)
+// document source — must agree exactly.
 func TestEpochDifferentialIdentity(t *testing.T) {
 	const k = 3
 	ctx := context.Background()
@@ -117,7 +120,13 @@ func TestEpochDifferentialIdentity(t *testing.T) {
 			}
 			switch backend {
 			case "frozen":
-				base.Freeze()
+				var buf bytes.Buffer
+				if _, err := base.WriteTo(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if base, err = ReadFrozen(&buf, dict); err != nil {
+					t.Fatal(err)
+				}
 			case "compressed":
 				base.Compress()
 			}
@@ -174,7 +183,7 @@ func TestEpochSwapStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base.Freeze()
+	base.Compress()
 	queries := epochQueries(t, base)
 	deltaB := mineDelta(t, k, dict, deltaTrees)
 	deltaA := lattice.NewDelta(k, dict)

@@ -25,9 +25,9 @@ var (
 	// ErrDictMismatch reports trees or summaries that do not share a
 	// label dictionary.
 	ErrDictMismatch = errors.New("treelattice: different label dictionary")
-	// ErrFrozenSummary reports a mutation against a summary loaded in the
-	// read-only frozen representation (ReadFrozen), which has no map
-	// backend to update.
+	// ErrFrozenSummary reports a mutation against a summary loaded
+	// read-only from a snapshot (ReadFrozen, ReadCompressed,
+	// OpenSnapshotFile), which has no map backend to update.
 	ErrFrozenSummary = errors.New("treelattice: summary is frozen")
 	// ErrBudgetExhausted reports an estimator that ran out of its internal
 	// work budget (the sampling backend's node budget) before producing an

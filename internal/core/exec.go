@@ -10,7 +10,7 @@ import (
 )
 
 // ErrNoDocuments reports a query execution against a summary with no
-// bound documents — snapshot-only summaries (frozen fleet tenants,
+// bound documents — snapshot-only summaries (read-only fleet tenants,
 // scatter-gather shards) can estimate but cannot answer queries.
 var ErrNoDocuments = errors.New("treelattice: no documents bound to summary")
 

@@ -90,8 +90,8 @@ type Aggregate struct {
 // Capabilities describes what a backend supports, for the /v1/methods
 // discovery endpoint and the degradation ladder.
 type Capabilities struct {
-	// SupportsFrozen: the backend works on summaries loaded with
-	// ReadFrozen (no map-backed lattice).
+	// SupportsFrozen: the backend works on summaries loaded read-only
+	// from a snapshot (no map-backed lattice).
 	SupportsFrozen bool `json:"supports_frozen"`
 	// SupportsBatch: the backend is safe to fan out across the batch
 	// endpoint's worker pool.
@@ -276,7 +276,7 @@ func (s *Summary) LookupMethod(m Method) (Capabilities, error) {
 // use. Preparation runs outside the lock (it may be expensive — sampling
 // builds per-document indexes), so two racing first uses may both
 // prepare; the extra instance is dropped. The cache empties whenever the
-// summary mutates, freezes, or rebinds its source.
+// summary mutates, compresses, or rebinds its source.
 func (s *Summary) preparedFor(ctx context.Context, m Method) (Prepared, error) {
 	s.prepMu.Lock()
 	p, ok := s.prepared[m]
@@ -306,7 +306,7 @@ func (s *Summary) preparedFor(ctx context.Context, m Method) (Prepared, error) {
 }
 
 // invalidatePrepared drops every cached Prepared; called on mutation and
-// freeze, whose store changes would leave backends reading stale state.
+// Compress, whose store changes would leave backends reading stale state.
 func (s *Summary) invalidatePrepared() {
 	s.prepMu.Lock()
 	s.prepared = nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -94,22 +95,33 @@ func directEstimate(t *testing.T, sum *Summary, tr *labeltree.Tree, m Method, q 
 
 // TestRegistryDifferentialIdentity: routing through the registry must be
 // a pure refactor — bit-identical to direct estimator calls for every
-// method, on the map, frozen, and compressed backends alike.
+// method, on the map backend, an installed compressed snapshot, and a
+// summary loaded read-only from its TLAT snapshot alike.
 func TestRegistryDifferentialIdentity(t *testing.T) {
 	methods := []Method{
 		MethodRecursive, MethodRecursiveVoting, MethodFixSized,
 		MethodMarkov, MethodTreeSketch, MethodSampling,
 	}
-	for _, backend := range []string{"map", "frozen", "compressed"} {
+	for _, backend := range []string{"map", "compressed", "tlat"} {
 		sum, tr, queries := registrySample(t)
+		kind := backend
 		switch backend {
-		case "frozen":
-			sum.Freeze()
 		case "compressed":
 			sum.Compress()
+		case "tlat":
+			var buf bytes.Buffer
+			if _, err := sum.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := ReadFrozen(&buf, sum.Dict())
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded.BindSource(TreeSliceSource{tr})
+			sum, kind = loaded, "compressed"
 		}
-		if got := sum.StoreKind(); got != backend {
-			t.Fatalf("StoreKind() = %q, want %q", got, backend)
+		if got := sum.StoreKind(); got != kind {
+			t.Fatalf("%s: StoreKind() = %q, want %q", backend, got, kind)
 		}
 		for _, m := range methods {
 			for _, q := range queries {
@@ -150,8 +162,8 @@ func TestRegistryDifferentialSnapshotFiles(t *testing.T) {
 		kind  string
 		write func(io.Writer) (int64, error)
 	}{
-		{"frozen", sum.WriteTo},
-		{"compressed", sum.WriteCompressed},
+		{"tlat", sum.WriteTo},
+		{"tlcz", sum.WriteCompressed},
 	}
 	for _, fc := range files {
 		path := filepath.Join(dir, fc.kind+".tlat")
@@ -169,7 +181,7 @@ func TestRegistryDifferentialSnapshotFiles(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenSnapshotFile(%s): %v", fc.kind, err)
 		}
-		if got := loaded.StoreKind(); got != fc.kind {
+		if got := loaded.StoreKind(); got != "compressed" {
 			t.Fatalf("loaded %s snapshot: StoreKind() = %q", fc.kind, got)
 		}
 		if loaded.Mutable() {

@@ -10,9 +10,10 @@ import (
 )
 
 // This file holds the snapshot-format surface of Summary: serializing
-// to and loading from the two immutable on-disk forms (TLAT, consumed
-// by Read/ReadFrozen, and the compressed TLCZ layout), plus the
-// introspection servers use to account for what is resident.
+// to and loading from the two on-disk forms (the TLAT interchange
+// format, consumed by Read/ReadFrozen, and the compressed TLCZ layout),
+// plus the introspection servers use to account for what is resident.
+// Every read-only load serves from the same lattice.Compressed store.
 
 // WriteCompressed serializes the summary in the compressed TLCZ form.
 // Like WriteTo it needs the map-backed lattice; snapshot-only summaries
@@ -38,7 +39,8 @@ func ReadCompressed(r io.Reader, dict *labeltree.Dict) (*Summary, error) {
 // OpenSnapshotFile loads a read-only summary from path, detecting the
 // format by its magic: TLCZ snapshots open through the compressed
 // loader (memory-mapped where the platform supports it), TLAT
-// snapshots through ReadFrozen. This is the serving-path loader —
+// snapshots through ReadFrozen, which decodes them into the same
+// compressed store on the heap. This is the serving-path loader —
 // replicas point it at whatever snapshot the build wrote.
 func OpenSnapshotFile(path string, dict *labeltree.Dict) (*Summary, error) {
 	f, err := os.Open(path)
@@ -71,7 +73,7 @@ type kinded interface{ StoreKind() string }
 
 // StoreKind names the backend estimates currently read from: "shards",
 // "delta" (epoch view: immutable base + ingest overlay), "compressed",
-// "frozen", or "map".
+// or "map".
 func (s *Summary) StoreKind() string {
 	switch {
 	case s.multi != nil:
@@ -81,8 +83,6 @@ func (s *Summary) StoreKind() string {
 		return "shards"
 	case s.comp != nil:
 		return "compressed"
-	case s.frozen != nil:
-		return "frozen"
 	default:
 		return "map"
 	}

@@ -176,13 +176,13 @@ func Open(dir string) (*Corpus, error) {
 	return open(dir, false)
 }
 
-// OpenReadOnly loads an existing corpus with its summary in an
-// immutable read-optimized representation, detected from the summary
-// file's magic: frozen (flat arena + open addressing) for TLAT
-// snapshots, compressed (front-coded blocks, memory-mapped where the
-// platform supports it) for TLCZ snapshots. The map backend is never
-// materialized, estimate lookups are allocation-free, and every
-// mutating operation fails with core.ErrFrozenSummary. The load path
+// OpenReadOnly loads an existing corpus with its summary in the
+// immutable compressed store (front-coded blocks), whichever snapshot
+// format the summary file's magic names: TLAT snapshots decode onto the
+// heap, TLCZ snapshots open memory-mapped where the platform supports
+// it. The map backend is never materialized, estimate lookups are
+// allocation-free, and every mutating operation fails with
+// core.ErrFrozenSummary. The load path
 // for read-only serving replicas. Ingest state left by a crashed or
 // stopped pipeline is recovered without writing: unfolded documents are
 // re-mined into a delta overlay and served merged with the snapshot.
@@ -233,7 +233,7 @@ func open(dir string, readOnly bool) (*Corpus, error) {
 	// The corpus itself is the summary's document source: sampling,
 	// markov, and treesketch backends prepare from the live doc set.
 	// Read-only replicas load their document trees too, so every backend
-	// works on frozen summaries.
+	// works on read-only summaries.
 	c.summary.BindSource(c)
 	// Region-index every loaded document once, up front: query execution
 	// then never pays an index build on the request path.

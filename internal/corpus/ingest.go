@@ -74,6 +74,7 @@ type IngestOptions struct {
 	// drains it. Default 4 × MaxDeltaBytes.
 	HardDeltaBytes int
 	// Compress writes refrozen snapshots in the TLCZ form instead of TLAT.
+	// Either way the new in-memory base serves from the compressed store.
 	Compress bool
 	// RefreezeHook, when non-nil, runs after the snapshot write and
 	// before the manifest commit — the fault-injection point: an error
@@ -169,7 +170,7 @@ func (c *Corpus) IngestStats() core.IngestStats {
 // subsequent AddXML/AddXMLBatch calls land in the delta overlay,
 // readers serve merged epoch views, and a background refreezer folds
 // the delta into durable snapshots. Works on mutable and read-only
-// (frozen/compressed) corpora alike; pruned and shard-combined
+// (compressed) corpora alike; pruned and shard-combined
 // summaries cannot host ingest (their counts cannot be materialized).
 func (c *Corpus) EnableIngest(opts IngestOptions) error {
 	if c.ing.Load() != nil {
@@ -394,7 +395,7 @@ func (c *Corpus) refreezeOnce(ctx context.Context, st *ingestState) error {
 
 	// Committed. Swap the serving state; from here failures must not
 	// leave the in-memory view disagreeing with the manifest.
-	newBase.Freeze()
+	newBase.Compress()
 	st.mu.Lock()
 	rest, serr := st.delta.Subtract(cut)
 	if serr != nil {

@@ -81,7 +81,7 @@ func buildReference(t *testing.T, n int) *Corpus {
 // base of 3 documents plus 5 ingested into the delta answers every
 // registered estimator bit-identically to a from-scratch rebuild — both
 // before any refreeze (merged view) and after one (folded view), on
-// mutable and read-only (frozen) base backends.
+// mutable and read-only (compressed) base backends.
 func TestIngestDifferential(t *testing.T) {
 	for _, readOnly := range []bool{false, true} {
 		t.Run(fmt.Sprintf("readonly=%v", readOnly), func(t *testing.T) {

@@ -73,7 +73,6 @@ type Store interface {
 }
 
 var _ Store = (*lattice.Summary)(nil)
-var _ Store = (*lattice.Frozen)(nil)
 var _ Store = (*lattice.Compressed)(nil)
 
 // Augment applies Theorem 1 / Lemma 1: the expected count of the union of

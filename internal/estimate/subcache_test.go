@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -167,10 +168,26 @@ func minedStore(t testing.TB) (*lattice.Summary, []labeltree.Pattern) {
 	return sum, queries
 }
 
+// loadFrozen round-trips sum through the TLAT interchange format into
+// the read-only store replicas serve from, keyed against sum's
+// dictionary.
+func loadFrozen(t *testing.T, sum *lattice.Summary) *lattice.Compressed {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := sum.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	c, err := lattice.ReadFrozen(&buf, sum.Dict())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestSharedCachePreservesEstimates is the bit-identity property: for
-// both estimator families, over both the map-backed and frozen backends,
-// estimates with a shared (and pre-warmed) cache equal the uncached
-// estimates exactly. The store is pruned so the fix-sized estimator's
+// both estimator families, over both the map-backed and the TLAT-loaded
+// read-only ("frozen") backends, estimates with a shared (and
+// pre-warmed) cache equal the uncached estimates exactly. The store is pruned so the fix-sized estimator's
 // in-range probes also exercise the reconstruction (and thus caching)
 // path — over a complete lattice it never decomposes.
 func TestSharedCachePreservesEstimates(t *testing.T) {
@@ -178,8 +195,7 @@ func TestSharedCachePreservesEstimates(t *testing.T) {
 	sum := full.Filter(func(e lattice.Entry) bool {
 		return e.Pattern.Size() <= 2 || e.Count > 1
 	})
-	frozen := lattice.Freeze(sum)
-	backends := map[string]Store{"map": sum, "frozen": frozen}
+	backends := map[string]Store{"map": sum, "frozen": loadFrozen(t, sum)}
 	type mk func(s Store, c *SubCache) Estimator
 	estimators := map[string]mk{
 		"recursive": func(s Store, c *SubCache) Estimator {
@@ -215,11 +231,12 @@ func TestSharedCachePreservesEstimates(t *testing.T) {
 	}
 }
 
-// TestSharedCacheBackendsBitIdentical pins map-vs-frozen equality when
-// both run through (distinct) shared caches.
+// TestSharedCacheBackendsBitIdentical pins equality of the map and the
+// TLAT-loaded read-only store when both run through (distinct) shared
+// caches.
 func TestSharedCacheBackendsBitIdentical(t *testing.T) {
 	sum, queries := minedStore(t)
-	frozen := lattice.Freeze(sum)
+	frozen := loadFrozen(t, sum)
 	onMap := &Recursive{Sum: sum, Voting: true, Cache: NewSubCache(1024)}
 	onFrozen := &Recursive{Sum: frozen, Voting: true, Cache: NewSubCache(1024)}
 	for round := 0; round < 2; round++ {
@@ -236,7 +253,7 @@ func TestSharedCacheBackendsBitIdentical(t *testing.T) {
 // checks every result against a single-threaded uncached baseline.
 func TestSharedCacheConcurrentEstimates(t *testing.T) {
 	sum, queries := minedStore(t)
-	frozen := lattice.Freeze(sum)
+	frozen := loadFrozen(t, sum)
 	baseline := &Recursive{Sum: frozen, Voting: true}
 	want := make([]float64, len(queries))
 	for i, q := range queries {

@@ -53,8 +53,8 @@ func buildShards(t *testing.T, trees []*labeltree.Tree, names []string, n int, o
 	return out
 }
 
-// refreeze round-trips a summary through serialization into the frozen
-// read-only representation, interning into dict — the load path fleet
+// refreeze round-trips a summary through TLAT serialization into the
+// read-only compressed store, interning into dict — the load path fleet
 // tenants use in production.
 func refreeze(t *testing.T, sum *core.Summary, dict *labeltree.Dict) *core.Summary {
 	t.Helper()
@@ -64,7 +64,7 @@ func refreeze(t *testing.T, sum *core.Summary, dict *labeltree.Dict) *core.Summa
 	}
 	fz, err := core.ReadFrozen(&buf, dict)
 	if err != nil {
-		t.Fatalf("loading frozen summary: %v", err)
+		t.Fatalf("loading read-only summary: %v", err)
 	}
 	return fz
 }
@@ -72,7 +72,8 @@ func refreeze(t *testing.T, sum *core.Summary, dict *labeltree.Dict) *core.Summa
 // TestScatterGatherDifferential is the tentpole invariant: estimates
 // over N shard summaries combined by the front end are bit-identical to
 // a single BuildForestContext summary over the same documents — for the
-// map and frozen backends and every registered estimator method.
+// map backend and for summaries loaded read-only from TLAT ("frozen"),
+// and for every registered estimator method.
 func TestScatterGatherDifferential(t *testing.T) {
 	dict, trees, names := testCorpus(t, 7, 12, 28)
 	opts := core.BuildOptions{K: 3}
@@ -98,7 +99,7 @@ func TestScatterGatherDifferential(t *testing.T) {
 			singleB := single
 			shardsB := shards
 			if backend == "frozen" {
-				// One shared dict across every frozen load, as LoadTenant
+				// One shared dict across every TLAT load, as LoadTenant
 				// does, so canonical keys agree across shard stores.
 				singleB = refreeze(t, single, dict)
 				shardsB = make([]*core.Summary, len(shards))

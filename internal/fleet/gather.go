@@ -63,9 +63,9 @@ func (g *Gather) Shards() int { return len(g.shards) }
 
 // BindSource binds the union corpus's documents to every combined
 // summary the gather builds, enabling document-needing estimator methods
-// (markov, treesketches, sampling, ensemble). Frozen fleet tenants have
-// no documents and skip this; those methods then answer
-// ErrMethodUnavailable, as on any frozen summary.
+// (markov, treesketches, sampling, ensemble). Read-only fleet tenants
+// have no documents and skip this; those methods then answer
+// ErrMethodUnavailable, as on any snapshot-only summary.
 func (g *Gather) BindSource(src core.TreeSource) {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -1,6 +1,6 @@
 // Package fleet turns a single-summary estimator into a multi-tenant,
 // sharded serving tier: a registry of named tenant summaries loaded
-// lazily from frozen snapshots with an LRU of resident tenants, a
+// lazily from read-only snapshots with an LRU of resident tenants, a
 // deterministic document→shard assignment for splitting one large corpus
 // into independently-servable shard summaries, and a scatter-gather
 // front end that combines per-shard counts exactly as forest estimation

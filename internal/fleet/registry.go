@@ -35,7 +35,7 @@ type RegistryOptions struct {
 	Logf func(format string, args ...any)
 }
 
-// Registry resolves tenant names to resident tenants, loading frozen
+// Registry resolves tenant names to resident tenants, loading read-only
 // snapshots lazily and keeping an LRU of resident tenants.
 // Loads are single-flight: concurrent Acquires of a cold tenant share
 // one load.

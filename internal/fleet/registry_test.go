@@ -69,7 +69,7 @@ func TestLoadTenantSharded(t *testing.T) {
 		t.Fatalf("healthy sharded tenant answered %+v", res)
 	}
 	if tn.Summary.Mutable() {
-		t.Fatal("loaded tenant should be frozen read-only")
+		t.Fatal("loaded tenant should be read-only")
 	}
 }
 
@@ -150,18 +150,18 @@ func writeCompressedTenantDir(t *testing.T, root, name string, seed int64, shard
 	}
 }
 
-// TestLoadTenantCompressed: LoadTenant must detect compressed snapshots
-// by magic — same filenames as frozen ones — and answer estimates
-// bit-identically to the frozen-loaded twin of the same tenant, at a
-// smaller resident footprint.
+// TestLoadTenantCompressed: LoadTenant must detect TLCZ snapshots by
+// magic — same filenames as TLAT ones — and answer estimates
+// bit-identically to the TLAT-loaded twin of the same tenant. Both load
+// onto the compressed store: TLAT decoded onto the heap, TLCZ mapped.
 func TestLoadTenantCompressed(t *testing.T) {
 	root := t.TempDir()
 	for _, shards := range []int{1, 3} {
-		frozenName := fmt.Sprintf("froz%d", shards)
+		tlatName := fmt.Sprintf("tlat%d", shards)
 		compName := fmt.Sprintf("comp%d", shards)
-		writeTenantDir(t, root, frozenName, 33, shards)
+		writeTenantDir(t, root, tlatName, 33, shards)
 		writeCompressedTenantDir(t, root, compName, 33, shards)
-		froz, err := fleet.LoadTenant(filepath.Join(root, frozenName), frozenName)
+		froz, err := fleet.LoadTenant(filepath.Join(root, tlatName), tlatName)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,22 +170,22 @@ func TestLoadTenantCompressed(t *testing.T) {
 			t.Fatal(err)
 		}
 		if comp.Shards != shards || comp.Shards != froz.Shards {
-			t.Fatalf("shards=%d: loaded %d compressed / %d frozen shards",
+			t.Fatalf("shards=%d: loaded %d TLCZ / %d TLAT shards",
 				shards, comp.Shards, froz.Shards)
 		}
 		if shards == 1 {
 			if got := comp.StoreKind(); got != "compressed" {
-				t.Fatalf("compressed tenant StoreKind() = %q", got)
+				t.Fatalf("TLCZ tenant StoreKind() = %q", got)
 			}
-			if got := froz.StoreKind(); got != "frozen" {
-				t.Fatalf("frozen tenant StoreKind() = %q", got)
+			if got := froz.StoreKind(); got != "compressed" {
+				t.Fatalf("TLAT tenant StoreKind() = %q", got)
 			}
 		}
-		if comp.Summary.Mutable() {
-			t.Fatal("compressed tenant must be read-only")
+		if comp.Summary.Mutable() || froz.Summary.Mutable() {
+			t.Fatal("loaded tenants must be read-only")
 		}
-		if cb, fb := comp.ResidentBytes(), froz.ResidentBytes(); cb <= 0 || cb >= fb {
-			t.Fatalf("shards=%d: compressed resident %d vs frozen %d", shards, cb, fb)
+		if cb, fb := comp.ResidentBytes(), froz.ResidentBytes(); cb <= 0 || fb <= 0 {
+			t.Fatalf("shards=%d: resident TLCZ %d / TLAT %d", shards, cb, fb)
 		}
 		for _, qs := range []string{"l0(l1)", "l1(l2,l3)", "l0(l1(l2))"} {
 			fq, err := froz.Summary.ParseQuery(qs)
@@ -205,7 +205,7 @@ func TestLoadTenantCompressed(t *testing.T) {
 				t.Fatal(err)
 			}
 			if cr.Estimate != fr.Estimate {
-				t.Errorf("shards=%d query %q: compressed %v != frozen %v",
+				t.Errorf("shards=%d query %q: TLCZ %v != TLAT %v",
 					shards, qs, cr.Estimate, fr.Estimate)
 			}
 		}

@@ -70,9 +70,9 @@ func NewShardedTenant(name string, shards []Shard) (*Tenant, error) {
 //	<dir>/shard-NNNN.tlat...  one snapshot per shard (sharded tenant)
 //
 // Every snapshot loads through core.OpenSnapshotFile, which detects the
-// format by magic: frozen for TLAT files, compressed (memory-mapped
-// where supported) for TLCZ files — the shard writer keeps the .tlat
-// name either way. All shards of a tenant intern labels into one shared
+// format by magic and serves both from the compressed store: TLAT files
+// decode onto the heap, TLCZ files open memory-mapped where supported —
+// the shard writer keeps the .tlat name either way. All shards of a tenant intern labels into one shared
 // dictionary, so canonical keys agree across shard stores and the
 // combined view sums them correctly.
 func LoadTenant(dir, name string) (*Tenant, error) {
@@ -127,7 +127,7 @@ func (t *Tenant) ResidentBytes() int {
 }
 
 // StoreKind names the tenant's backing store ("shards", "compressed",
-// "frozen", or "map").
+// or "map").
 func (t *Tenant) StoreKind() string {
 	if t.Summary == nil {
 		return ""

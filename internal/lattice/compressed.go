@@ -3,27 +3,30 @@ package lattice
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
 	"treelattice/internal/labeltree"
 )
 
-// Compressed is an immutable, succinct snapshot of a K-lattice: the
-// second read-only backend next to Frozen, trading a bounded amount of
-// lookup work for a several-fold smaller resident footprint. Canonical
-// keys are stored sorted and front-coded (each key records only the
-// bytes after its longest common prefix with its predecessor) in blocks
-// of compressedBlockLen entries; entry headers pack lcp and suffix
-// length into one byte in the common case; counts are inline uvarints;
-// a small per-block fence index (first key of every block) plus a
-// 257-slot first-byte jump table lets CountKey do a short binary search
-// and a bounded in-block scan. There is no per-entry offset array and
-// no hash table — the structures that dominate Frozen's resident size.
+// Compressed is the immutable, succinct read-only snapshot of a
+// K-lattice: every read-only load and every ingest base serves from it.
+// Canonical keys are stored sorted and front-coded (each key records
+// only the bytes after its longest common prefix with its predecessor)
+// in blocks of compressedBlockLen entries; entry headers pack lcp and
+// suffix length into one byte in the common case; counts are inline
+// uvarints; a small per-block fence index (first key of every block)
+// plus a 257-slot first-byte jump table lets CountKey do a short binary
+// search and a bounded in-block scan. There is no per-entry offset array
+// and no hash table, so resident bytes stay close to the key bytes
+// themselves.
 //
-// A Compressed is built from a populated *Summary (Compress), from the
-// TLCZ snapshot format (OpenCompressed / ReadCompressed), or straight
+// A Compressed is built from a populated *Summary (Compress), streamed
+// from the TLAT interchange format (ReadFrozen), loaded from the TLCZ
+// snapshot format (OpenCompressed / ReadCompressed), or served straight
 // from an mmap'ed snapshot file (OpenCompressedFile). It is safe for
 // concurrent use by any number of readers.
 type Compressed struct {
@@ -48,6 +51,17 @@ type Compressed struct {
 	unmap   func() error
 }
 
+// ErrSnapshotTooLarge reports a snapshot whose flat storage would exceed
+// what the u32 offsets of the block section can address. Match it with
+// errors.Is.
+var ErrSnapshotTooLarge = errors.New("lattice: snapshot exceeds 4GiB addressable layout")
+
+// snapshotLimit bounds the flat storage a store may assemble: the TLAT
+// key arena ReadFrozen streams into and the block section every build
+// front-codes into. A variable only so tests can lower it and cover the
+// guards without materializing 4GiB of keys.
+var snapshotLimit = math.MaxUint32
+
 // compressedBlockLen is the front-coding restart interval. 8 bounds the
 // lookup scan to a handful of entries while keeping the fence/offset
 // overhead near a byte and a half per entry; lower it and lookups speed
@@ -68,8 +82,8 @@ func (c *Compressed) Pruned() bool { return c.pruned }
 func (c *Compressed) Len() int { return c.n }
 
 // SizeBytes returns the accounted storage size (8 bytes of count plus 5
-// bytes per node — the same accounting as Summary and Frozen, so the
-// three backends stay interchangeable in size-sensitive callers).
+// bytes per node — the same accounting as Summary, so both backends stay
+// interchangeable in size-sensitive callers).
 func (c *Compressed) SizeBytes() int { return c.sizeBytes }
 
 // ResidentBytes reports the actual bytes this snapshot keeps resident:
@@ -308,8 +322,8 @@ func (c *Compressed) Entries(size int) []Entry {
 
 // Compress builds a succinct snapshot of s. The snapshot shares s's
 // dictionary but none of its storage; mutating s afterwards does not
-// affect the snapshot. Like Freeze, sorted keys make it deterministic:
-// compressing equal summaries yields byte-identical stores.
+// affect the snapshot. Sorted keys make it deterministic: compressing
+// equal summaries yields byte-identical stores.
 func Compress(s *Summary) *Compressed {
 	keys := make([]string, 0, len(s.entries))
 	for k := range s.entries {
@@ -323,25 +337,32 @@ func Compress(s *Summary) *Compressed {
 		counts[i] = e.Count
 		sizeBytes += 8 + 5*e.Pattern.Size()
 	}
-	c := buildCompressed(keys, counts, compressedBlockLen)
+	c, err := buildCompressed(keys, counts, compressedBlockLen)
+	if err != nil {
+		panic(err) // an in-memory summary past 4GiB of front-coded keys
+	}
 	c.k, c.dict, c.pruned, c.sizeBytes = s.k, s.dict, s.pruned, sizeBytes
 	return c
 }
 
 // buildCompressed assembles the three sections from sorted distinct
-// keys. Lattice-level fields (k, dict, pruned, sizeBytes) are the
-// caller's to fill in.
-func buildCompressed(keys []string, counts []int64, blockLen int) *Compressed {
+// keys, failing with ErrSnapshotTooLarge when the block section outgrows
+// its u32 offsets. Lattice-level fields (k, dict, pruned, sizeBytes) are
+// the caller's to fill in.
+func buildCompressed(keys []string, counts []int64, blockLen int) (*Compressed, error) {
 	c := &Compressed{n: len(keys), blockLen: blockLen}
 	var buf [binary.MaxVarintLen64]byte
 	uv := func(dst []byte, v uint64) []byte {
 		return append(dst, buf[:binary.PutUvarint(buf[:], v)]...)
 	}
+	tooLarge := func() error {
+		return fmt.Errorf("lattice: compressed block section: %w", ErrSnapshotTooLarge)
+	}
 	prev := ""
 	for i, key := range keys {
 		if i%blockLen == 0 {
-			if len(c.blocks) > int(^uint32(0)) {
-				panic("lattice: compressed snapshot exceeds the 4GiB u32 offset layout")
+			if len(c.blocks) > snapshotLimit {
+				return nil, tooLarge()
 			}
 			c.offs = append(c.offs, uint32(len(c.blocks)))
 			c.fences = append(c.fences, prefix8(key))
@@ -364,13 +385,13 @@ func buildCompressed(keys []string, counts []int64, blockLen int) *Compressed {
 		prev = key
 	}
 	if len(keys) > 0 {
-		if len(c.blocks) > int(^uint32(0)) {
-			panic("lattice: compressed snapshot exceeds the 4GiB u32 offset layout")
+		if len(c.blocks) > snapshotLimit {
+			return nil, tooLarge()
 		}
 		c.offs = append(c.offs, uint32(len(c.blocks))) // sentinel
 	}
 	c.jump = buildJump(c.fences)
-	return c
+	return c, nil
 }
 
 // buildJump indexes the fences by their leading byte: slot t holds the

@@ -120,7 +120,10 @@ func WriteCompressed(w io.Writer, s *Summary) (int64, error) {
 		keys[i] = e.key
 		counts[i] = e.count
 	}
-	c := buildCompressed(keys, counts, compressedBlockLen)
+	c, err := buildCompressed(keys, counts, compressedBlockLen)
+	if err != nil {
+		return 0, err
+	}
 
 	var lab []byte
 	var vbuf [binary.MaxVarintLen64]byte
@@ -389,7 +392,10 @@ func rebindCompressed(c *Compressed, ids []labeltree.LabelID) (*Compressed, erro
 		counts = append(counts, e.count)
 		sizeBytes += 8 + 5*e.size
 	}
-	r := buildCompressed(keys, counts, c.blockLen)
+	r, err := buildCompressed(keys, counts, c.blockLen)
+	if err != nil {
+		return nil, err
+	}
 	r.k, r.dict, r.pruned, r.sizeBytes = c.k, c.dict, c.pruned, sizeBytes
 	return r, nil
 }

@@ -2,16 +2,19 @@ package lattice_test
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"treelattice/internal/datagen"
+	"treelattice/internal/estimate"
 	"treelattice/internal/labeltree"
 	"treelattice/internal/lattice"
 	"treelattice/internal/mine"
 	"treelattice/internal/treetest"
+	"treelattice/internal/workload"
 )
 
 // assertCompressedMatches checks that c answers exactly like s for every
@@ -161,11 +164,13 @@ func TestWriteCompressedDeterministic(t *testing.T) {
 	}
 }
 
-// TestCompressedDifferentialMined mirrors TestFrozenDifferentialMined:
-// on every generator profile, complete and pruned, the compressed
-// backend — built in memory, opened zero-copy from serialized bytes, and
-// opened from an mmap'ed file — answers exactly like the map and frozen
-// backends for every mined pattern.
+// TestCompressedDifferentialMined: on every generator profile, complete
+// and pruned, the compressed backend — built in memory, loaded from TLAT,
+// opened zero-copy from TLCZ bytes, and opened from an mmap'ed file —
+// answers exactly like the map backend for every mined pattern, and the
+// decomposition estimators over it return bit-identical estimates
+// (math.Float64bits) for a positive workload of sizes 5–7, which the
+// K=4 lattice answers only by decomposing.
 func TestCompressedDifferentialMined(t *testing.T) {
 	dir := t.TempDir()
 	for _, profile := range datagen.AllProfiles() {
@@ -179,13 +184,20 @@ func TestCompressedDifferentialMined(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			work, err := workload.Positive(tree, workload.Options{Sizes: []int{5, 6, 7}, PerSize: 6, Seed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(work[5]) == 0 || len(work[7]) == 0 {
+				t.Fatalf("workload too small: %d/%d/%d queries", len(work[5]), len(work[6]), len(work[7]))
+			}
 			variants := map[string]*lattice.Summary{
 				"complete": sum,
 				"pruned":   sum.Filter(func(e lattice.Entry) bool { return e.Count > 2 || e.Pattern.Size() <= 2 }),
 			}
 			for name, s := range variants {
-				frozen := lattice.Freeze(s)
 				inMemory := lattice.Compress(s)
+				tlat := freeze(t, s)
 
 				var tlcz bytes.Buffer
 				if _, err := lattice.WriteCompressed(&tlcz, s); err != nil {
@@ -206,18 +218,13 @@ func TestCompressedDifferentialMined(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				if inMemory.ResidentBytes() >= frozen.ResidentBytes() {
-					t.Errorf("%s: compressed resident %d not below frozen %d",
-						name, inMemory.ResidentBytes(), frozen.ResidentBytes())
-				}
-
 				// Probe with every pattern of the complete lattice so the
 				// pruned variant also exercises misses.
 				for _, e := range sum.Entries(0) {
 					key := e.Pattern.Key()
 					wantC, wantOK := s.CountKey(key)
-					if gotC, gotOK := frozen.CountKey(key); gotC != wantC || gotOK != wantOK {
-						t.Fatalf("%s/frozen: CountKey(%x) = %d,%v want %d,%v", name, key, gotC, gotOK, wantC, wantOK)
+					if gotC, gotOK := tlat.CountKey(key); gotC != wantC || gotOK != wantOK {
+						t.Fatalf("%s/tlat: CountKey(%x) = %d,%v want %d,%v", name, key, gotC, gotOK, wantC, wantOK)
 					}
 					if gotC, gotOK := inMemory.CountKey(key); gotC != wantC || gotOK != wantOK {
 						t.Fatalf("%s/compress: CountKey(%x) = %d,%v want %d,%v", name, key, gotC, gotOK, wantC, wantOK)
@@ -229,6 +236,34 @@ func TestCompressedDifferentialMined(t *testing.T) {
 					mapKey := remapPattern(t, e.Pattern, dict, mapDict).Key()
 					if gotC, gotOK := mapped.CountKey(mapKey); gotC != wantC || gotOK != wantOK {
 						t.Fatalf("%s/mmap: CountKey(%x) = %d,%v want %d,%v", name, mapKey, gotC, gotOK, wantC, wantOK)
+					}
+				}
+				stores := []struct {
+					name  string
+					store estimate.Store
+					dict  *labeltree.Dict
+				}{
+					{"compress", inMemory, dict}, {"tlat", tlat, dict},
+					{"open", opened, fileDict}, {"mmap", mapped, mapDict},
+				}
+				for _, size := range []int{5, 6, 7} {
+					for _, wq := range work[size] {
+						for _, est := range []struct {
+							name string
+							of   func(estimate.Store) estimate.Estimator
+						}{
+							{"recursive", func(st estimate.Store) estimate.Estimator { return estimate.NewRecursive(st, false) }},
+							{"recursive+voting", func(st estimate.Store) estimate.Estimator { return estimate.NewRecursive(st, true) }},
+							{"fix-sized", func(st estimate.Store) estimate.Estimator { return estimate.NewFixSized(st) }},
+						} {
+							want := est.of(s).Estimate(wq.Pattern)
+							for _, st := range stores {
+								q := remapPattern(t, wq.Pattern, dict, st.dict)
+								if got := est.of(st.store).Estimate(q); math.Float64bits(got) != math.Float64bits(want) {
+									t.Fatalf("%s/%s/%s size %d: estimate %v, map %v", name, st.name, est.name, size, got, want)
+								}
+							}
+						}
 					}
 				}
 				if err := mapped.Close(); err != nil {
@@ -398,9 +433,9 @@ func FuzzCompressedLoad(f *testing.F) {
 		}
 		for _, e := range s.Entries(0) {
 			key := e.Pattern.Key()
-			wantC, wantOK := fz.CountKey(key) // fresh-dict frozen: same IDs as s
+			wantC, wantOK := fz.CountKey(key) // fresh dict: same IDs as s
 			if wantC != e.Count || !wantOK {
-				t.Fatalf("frozen loader diverges from map loader on %x", key)
+				t.Fatalf("TLAT loader diverges from map loader on %x", key)
 			}
 			ck := remapPattern(t, e.Pattern, mapDict, compDict).Key()
 			if gotC, gotOK := c.CountKey(ck); gotC != wantC || gotOK != wantOK {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sort"
 
 	"treelattice/internal/labeltree"
 )
@@ -92,10 +93,75 @@ func Read(r io.Reader, dict *labeltree.Dict) (*Summary, error) {
 	return s, nil
 }
 
+// ReadFrozen deserializes a summary written by WriteTo straight into a
+// read-only Compressed store, interning labels into dict. Entries stream
+// into one flat key arena (no map is built), are sorted, and are
+// front-coded; peak memory is about twice the key bytes plus a small
+// record per entry.
+// It accepts exactly the inputs Read accepts and yields the same counts:
+// a duplicate key (possible only in hand-crafted input; WriteTo never
+// emits one) keeps its last count, as Summary.Add does. Input whose keys
+// outgrow the u32 layout fails with ErrSnapshotTooLarge.
+func ReadFrozen(r io.Reader, dict *labeltree.Dict) (*Compressed, error) {
+	sr, err := newSummaryReader(r, dict)
+	if err != nil {
+		return nil, err
+	}
+	type entry struct {
+		off, end uint32 // key bytes: arena[off:end]
+		size     int32
+		count    int64
+	}
+	var arena []byte
+	var entries []entry
+	for e := uint64(0); e < sr.nEntries; e++ {
+		p, count, err := sr.next(e)
+		if err != nil {
+			return nil, err
+		}
+		off := len(arena)
+		arena = p.AppendKey(arena)
+		if len(arena) > snapshotLimit {
+			return nil, fmt.Errorf("lattice: key arena at entry %d: %w", e, ErrSnapshotTooLarge)
+		}
+		entries = append(entries, entry{uint32(off), uint32(len(arena)), int32(p.Size()), count})
+	}
+	// One copy of the arena as a string lets every key be a substring of
+	// it: the sort and the build compare and slice without a per-key
+	// allocation.
+	all := string(arena)
+	key := func(e entry) string { return all[e.off:e.end] }
+	// Arena offsets grow in input order, so they break key ties: the
+	// last entry of a run of equal keys is the last one read.
+	sort.Slice(entries, func(a, b int) bool {
+		if ka, kb := key(entries[a]), key(entries[b]); ka != kb {
+			return ka < kb
+		}
+		return entries[a].off < entries[b].off
+	})
+	keys := make([]string, 0, len(entries))
+	counts := make([]int64, 0, len(entries))
+	sizeBytes := 0
+	for i, e := range entries {
+		if i+1 < len(entries) && key(e) == key(entries[i+1]) {
+			continue
+		}
+		keys = append(keys, key(e))
+		counts = append(counts, e.count)
+		sizeBytes += 8 + 5*int(e.size)
+	}
+	c, err := buildCompressed(keys, counts, compressedBlockLen)
+	if err != nil {
+		return nil, err
+	}
+	c.k, c.dict, c.pruned, c.sizeBytes = sr.k, dict, sr.pruned, sizeBytes
+	return c, nil
+}
+
 // summaryReader streams a serialized summary: header (magic, K, pruned
 // flag, label table) up front, then nEntries patterns on demand. Both the
-// map-backed Read and the frozen-store ReadFrozen decode through it, so
-// the two loaders accept exactly the same byte strings.
+// map-backed Read and the compressed-store ReadFrozen decode through it,
+// so the two loaders accept exactly the same byte strings.
 type summaryReader struct {
 	br       *bufio.Reader
 	k        int

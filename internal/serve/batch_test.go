@@ -154,7 +154,7 @@ func TestServeReadOnlyCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ro.Summary().Mutable() || !ro.Summary().FrozenStore() {
-		t.Fatal("OpenReadOnly did not produce a frozen summary")
+		t.Fatal("OpenReadOnly did not produce a read-only summary")
 	}
 	srv := httptest.NewServer(NewHandler(ro))
 	defer srv.Close()

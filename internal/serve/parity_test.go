@@ -91,9 +91,12 @@ type paritySide struct {
 // estimate budget. Three servers per configuration receive every
 // request twice: one through the legacy route both times, one through
 // the tenant route both times, and one through both, in alternating
-// order. The n-th answers of the three must agree. (Sending twice keeps
-// the servers' histories equal: a parse interns the labels it names, so
-// an unknown label answers differently the second time it is asked.)
+// order. The n-th answers of the three must agree. Sending twice covers
+// the response-cache hit after the miss: the second send of an estimate
+// is answered from the entry the first one cached (the first send after
+// an upload misses, since uploads drop the tenant's cache), and on the
+// mixed server that hit goes through the other route shape than the
+// request that filled it.
 func TestDefaultTenantRouteParity(t *testing.T) {
 	configs := []struct {
 		name   string

@@ -166,7 +166,7 @@ func (h *Handler) runQuery(r *http.Request, sum *core.Summary, p queryParams) (*
 
 // query serves GET/POST /v1/query (as the default tenant) and
 // /v1/t/{tenant}/query: planner-driven twig query execution against the
-// tenant's documents. Tenants loaded from frozen snapshots carry no
+// tenant's documents. Tenants loaded from read-only snapshots carry no
 // documents and answer 409 no_documents — they estimate, the corpus
 // owner executes.
 func (h *Handler) query(w http.ResponseWriter, r *http.Request, name string, echo bool) {

@@ -26,7 +26,7 @@
 // routes: /v1/estimate and /v1/t/default/estimate (likewise /v1/query)
 // run one handler and answer byte-identically, except that only the
 // tenant route echoes "tenant". Options.Fleet supplies a registry of
-// named tenants loaded lazily from frozen snapshots (see
+// named tenants loaded lazily from read-only snapshots (see
 // internal/fleet). A sharded tenant scatters each estimate across its
 // shard summaries and gathers one combined answer — bit-identical to a
 // single merged summary when every shard answers, and a degraded partial
@@ -205,7 +205,7 @@ type Options struct {
 	Resilience ResilienceOptions
 	// Fleet is the multi-tenant registry behind the /v1/t/{tenant}/*
 	// routes; nil serves only the default tenant (the corpus). The
-	// registry loads tenants lazily from frozen snapshots and keeps an
+	// registry loads tenants lazily from read-only snapshots and keeps an
 	// LRU of resident ones.
 	Fleet *fleet.Registry
 	// Logf receives panic-recovery log lines; nil means no logging.
@@ -772,7 +772,7 @@ func coreErrorCode(err error) (int, string) {
 		return http.StatusConflict, "method_unavailable"
 	case errors.Is(err, core.ErrNoDocuments):
 		// Query execution needs bound documents; snapshot-only summaries
-		// (frozen fleet tenants) can estimate but not execute. Server
+		// (read-only fleet tenants) can estimate but not execute. Server
 		// state, not a client typo.
 		return http.StatusConflict, "no_documents"
 	case errors.Is(err, fleet.ErrBadName):

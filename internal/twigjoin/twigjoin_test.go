@@ -275,40 +275,6 @@ func TestNewQueryValidation(t *testing.T) {
 	}
 }
 
-func TestCountPathAgainstEnumerate(t *testing.T) {
-	dict, alphabet := treetest.Alphabet(3)
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 150; trial++ {
-		tr := treetest.RandomTree(rng, 2+rng.Intn(80), alphabet, dict)
-		x := NewIndex(tr)
-		k := 1 + rng.Intn(4)
-		labels := make([]labeltree.LabelID, k)
-		for i := range labels {
-			labels[i] = alphabet[rng.Intn(len(alphabet))]
-		}
-		for _, axis := range []Axis{Child, Descendant} {
-			p := labeltree.PathPattern(labels...)
-			axes := make([]Axis, k)
-			axes[0] = Descendant
-			for i := 1; i < k; i++ {
-				axes[i] = axis
-			}
-			want := Count(x, MustQuery(p, axes))
-			if got := CountPath(x, labels, axis); got != want {
-				t.Fatalf("trial %d axis %v: CountPath=%d enumerate=%d", trial, axis, got, want)
-			}
-		}
-	}
-}
-
-func TestCountPathEmpty(t *testing.T) {
-	tr, _ := parseDoc(t, `<a/>`)
-	x := NewIndex(tr)
-	if got := CountPath(x, nil, Descendant); got != 0 {
-		t.Fatalf("empty path count = %d", got)
-	}
-}
-
 func TestStatsCandidates(t *testing.T) {
 	tr, dict := parseDoc(t, `<r><a><b/></a><a/><a/></r>`)
 	x := NewIndex(tr)
